@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .config import config_hash, run_id
 from .datasets import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, split_test
-from .errors import DataError, FormatError, ModelSpecError
+from .errors import DataError, FormatError, ModelSpecError, NumericError
 from .metrics import error_count, generalization_gap
 from .models import build_model, convnet_spec, count_params, mlp_spec
 from .optim import OptimState, sgd_momentum_step
@@ -143,6 +143,13 @@ def _run_epoch(model, mask, view, config, t, epoch, optim, global_iter, observer
         tape = T.Tape()
         logits = model.forward(xb, tape)
         loss = T.softmax_cross_entropy(logits, yb, tape)
+        step_loss = float(loss.data)
+        global_iter += 1
+        if not math.isfinite(step_loss):
+            raise NumericError(
+                f"training loss is {step_loss} at megabatch {t}, epoch {epoch}, "
+                f"global_iter {global_iter}"
+            )
         tape.backward(loss)
         grads = {
             name: np.zeros(p.shape) if p.grad is None else p.grad
@@ -150,8 +157,7 @@ def _run_epoch(model, mask, view, config, t, epoch, optim, global_iter, observer
         }
         sgd_momentum_step(params, grads, optim, mask)
         correct += int((np.argmax(logits.data, axis=1) == yb).sum())
-        loss_sum += float(loss.data) * yb.size
-        global_iter += 1
+        loss_sum += step_loss * yb.size
         if observer is not None and hasattr(observer, "on_step"):
             observer.on_step(t, epoch, model, optim, mask)
     val_correct, val_total, val_loss = evaluate(model, *view.val_xy())

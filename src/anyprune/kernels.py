@@ -1,30 +1,13 @@
-"""Convolution and pooling inner loops.
+"""Convolution and pooling inner loops, in numpy.
 
-Two interchangeable backends: numba ``@njit`` loop kernels (default when numba
-imports) and a pure-numpy path built on strided im2col views. Selection happens
-once at import from the ``ANYPRUNE_NUMBA`` environment variable ("0"/"off"
-forces numpy) and can be switched at runtime with :func:`use_backend`, which the
-benchmark uses to compare both. Both backends compute the same quantities; they
-may differ in the last few ulps because summation order differs.
+Convolutions run as a tensordot over a strided im2col view of the padded
+input; 2x2 mean pooling works on four strided slices of the input. Every
+kernel is deterministic.
 
 Dense (matmul) layers do not live here: BLAS already is the fast path for them.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-    njit = None
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
 
 
 def _im2col(xp, kh, kw, stride, ho, wo):
@@ -36,17 +19,44 @@ def _im2col(xp, kh, kw, stride, ho, wo):
     return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
 
 
-def _conv2d_fwd_np(xp, w, stride, ho, wo):
+def conv2d_output_hw(h, w, kh, kw, stride, padding):
+    return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+
+
+def _pad(x, padding):
+    if padding == 0:
+        return x
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    return xp
+
+
+def conv2d_fwd(x, w, stride, padding):
+    xp = _pad(x, padding)
+    ho, wo = conv2d_output_hw(x.shape[2], x.shape[3], w.shape[2], w.shape[3], stride, padding)
     cols = _im2col(xp, w.shape[2], w.shape[3], stride, ho, wo)
     out = np.tensordot(cols, w, axes=([1, 4, 5], [1, 2, 3]))  # [B,Ho,Wo,Cout]
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
-def _conv2d_bwd_np(xp, w, gout, stride):
+def _grad_w(xp, w, gout, stride):
+    _, _, ho, wo = gout.shape
+    cols = _im2col(xp, w.shape[2], w.shape[3], stride, ho, wo)
+    return np.ascontiguousarray(np.tensordot(gout, cols, axes=([0, 2, 3], [0, 2, 3])))
+
+
+def conv2d_bwd_w(x, w, gout, stride, padding):
+    """Kernel gradient gw of a conv2d output gradient ``gout``."""
+    return _grad_w(_pad(x, padding), w, gout, stride)
+
+
+def conv2d_bwd(x, w, gout, stride, padding):
+    """Gradients (gx, gw) of a conv2d output gradient ``gout``."""
+    xp = _pad(x, padding)
+    gw = _grad_w(xp, w, gout, stride)
     _, _, ho, wo = gout.shape
     kh, kw = w.shape[2], w.shape[3]
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
-    gw = np.tensordot(gout, cols, axes=([0, 2, 3], [0, 2, 3]))
     # per-output-position input gradient, scattered back over (u, v) offsets
     gcols = np.tensordot(gout, w, axes=(1, 0))  # [B,Ho,Wo,Cin,kh,kw]
     gxp = np.zeros_like(xp)
@@ -55,166 +65,6 @@ def _conv2d_bwd_np(xp, w, gout, stride):
             gxp[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride] += (
                 gcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
             )
-    return gxp, np.ascontiguousarray(gw)
-
-
-def _meanpool2_fwd_np(x, ho, wo):
-    blocks = x[:, :, : 2 * ho, : 2 * wo].reshape(
-        x.shape[0], x.shape[1], ho, 2, wo, 2
-    )
-    return blocks.mean(axis=(3, 5))
-
-
-def _meanpool2_bwd_np(x, gout):
-    ho, wo = gout.shape[2], gout.shape[3]
-    gx = np.zeros_like(x)
-    gx[:, :, : 2 * ho, : 2 * wo] = np.repeat(np.repeat(gout, 2, axis=2), 2, axis=3) * 0.25
-    return gx
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAS_NUMBA:
-    # Inner loops run over the contiguous last axis so LLVM can vectorize them;
-    # fastmath permits the reassociation that unlocks SIMD reductions.
-
-    @njit(cache=True, fastmath=True)
-    def _conv2d_fwd_nb(xp, w, stride, out):
-        b, cin, _, _ = xp.shape
-        cout, _, kh, kw = w.shape
-        _, _, ho, wo = out.shape
-        for n in range(b):
-            for co in range(cout):
-                for i in range(ho):
-                    orow = out[n, co, i]
-                    orow[:] = 0.0
-                    for ci in range(cin):
-                        for u in range(kh):
-                            xrow = xp[n, ci, i * stride + u]
-                            for v in range(kw):
-                                wval = w[co, ci, u, v]
-                                if stride == 1:
-                                    for j in range(wo):
-                                        orow[j] += wval * xrow[j + v]
-                                else:
-                                    for j in range(wo):
-                                        orow[j] += wval * xrow[j * stride + v]
-
-    @njit(cache=True, fastmath=True)
-    def _conv2d_bwd_nb(xp, w, gout, stride, gxp, gw):
-        b, cin, _, _ = xp.shape
-        cout, _, kh, kw = w.shape
-        _, _, ho, wo = gout.shape
-        for n in range(b):
-            for co in range(cout):
-                for i in range(ho):
-                    grow = gout[n, co, i]
-                    for ci in range(cin):
-                        for u in range(kh):
-                            xrow = xp[n, ci, i * stride + u]
-                            gxrow = gxp[n, ci, i * stride + u]
-                            for v in range(kw):
-                                wval = w[co, ci, u, v]
-                                acc = 0.0
-                                if stride == 1:
-                                    for j in range(wo):
-                                        gxrow[j + v] += grow[j] * wval
-                                        acc += grow[j] * xrow[j + v]
-                                else:
-                                    for j in range(wo):
-                                        gxrow[j * stride + v] += grow[j] * wval
-                                        acc += grow[j] * xrow[j * stride + v]
-                                gw[co, ci, u, v] += acc
-
-    @njit(cache=True)
-    def _meanpool2_fwd_nb(x, out):
-        b, c, ho, wo = out.shape
-        for n in range(b):
-            for k in range(c):
-                for i in range(ho):
-                    for j in range(wo):
-                        out[n, k, i, j] = (
-                            x[n, k, 2 * i, 2 * j]
-                            + x[n, k, 2 * i, 2 * j + 1]
-                            + x[n, k, 2 * i + 1, 2 * j]
-                            + x[n, k, 2 * i + 1, 2 * j + 1]
-                        ) * 0.25
-
-    @njit(cache=True)
-    def _meanpool2_bwd_nb(gout, gx):
-        b, c, ho, wo = gout.shape
-        for n in range(b):
-            for k in range(c):
-                for i in range(ho):
-                    for j in range(wo):
-                        g = gout[n, k, i, j] * 0.25
-                        gx[n, k, 2 * i, 2 * j] += g
-                        gx[n, k, 2 * i, 2 * j + 1] += g
-                        gx[n, k, 2 * i + 1, 2 * j] += g
-                        gx[n, k, 2 * i + 1, 2 * j + 1] += g
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-_active = "numpy"
-
-
-def use_backend(name):
-    """Select "numba" or "numpy" for subsequent kernel calls."""
-    global _active
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _active = name
-
-
-def active_backend():
-    return _active
-
-
-_env = os.environ.get("ANYPRUNE_NUMBA", "auto").lower()
-if _env in ("0", "off", "false", "no"):
-    use_backend("numpy")
-elif HAS_NUMBA:
-    use_backend("numba")
-
-
-# ---------------------------------------------------------------------------
-# public entry points (shared padding / shape plumbing)
-
-
-def conv2d_output_hw(h, w, kh, kw, stride, padding):
-    return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
-
-
-def _pad(x, padding):
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-
-
-def conv2d_fwd(x, w, stride, padding):
-    xp = _pad(x, padding)
-    ho, wo = conv2d_output_hw(x.shape[2], x.shape[3], w.shape[2], w.shape[3], stride, padding)
-    if _active == "numba":
-        out = np.empty((x.shape[0], w.shape[0], ho, wo), dtype=np.float64)
-        _conv2d_fwd_nb(xp, w, stride, out)
-        return out
-    return _conv2d_fwd_np(xp, w, stride, ho, wo)
-
-
-def conv2d_bwd(x, w, gout, stride, padding):
-    """Gradients (gx, gw) of a conv2d output gradient ``gout``."""
-    xp = _pad(x, padding)
-    if _active == "numba":
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w)
-        _conv2d_bwd_nb(xp, w, gout, stride, gxp, gw)
-    else:
-        gxp, gw = _conv2d_bwd_np(xp, w, gout, stride)
     if padding:
         gx = np.ascontiguousarray(
             gxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
@@ -225,17 +75,24 @@ def conv2d_bwd(x, w, gout, stride, padding):
 
 
 def meanpool2_fwd(x):
-    ho, wo = x.shape[2] // 2, x.shape[3] // 2
-    if _active == "numba":
-        out = np.empty((x.shape[0], x.shape[1], ho, wo), dtype=np.float64)
-        _meanpool2_fwd_nb(x, out)
-        return out
-    return _meanpool2_fwd_np(x, ho, wo)
+    h2, w2 = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+    a, b = x[:, :, 0:h2:2, 0:w2:2], x[:, :, 0:h2:2, 1:w2:2]
+    c, d = x[:, :, 1:h2:2, 0:w2:2], x[:, :, 1:h2:2, 1:w2:2]
+    # These summation orders give the bits of numpy's
+    # x.reshape(b, c, ho, 2, wo, 2).mean(axis=(3, 5)), which sums a window in
+    # sequence when the output is one column wide and by rows otherwise.
+    # (Four -0.0 average to -0.0 here, to +0.0 there; relu outputs hold no -0.0.)
+    if w2 == 2:
+        return (((a + b) + c) + d) / 4
+    return ((a + b) + (c + d)) / 4
 
 
 def meanpool2_bwd(x, gout):
-    if _active == "numba":
-        gx = np.zeros_like(x)
-        _meanpool2_bwd_nb(gout, gx)
-        return gx
-    return _meanpool2_bwd_np(x, gout)
+    h2, w2 = 2 * gout.shape[2], 2 * gout.shape[3]
+    g = gout * 0.25
+    gx = np.zeros_like(x)
+    gx[:, :, 0:h2:2, 0:w2:2] = g
+    gx[:, :, 0:h2:2, 1:w2:2] = g
+    gx[:, :, 1:h2:2, 0:w2:2] = g
+    gx[:, :, 1:h2:2, 1:w2:2] = g
+    return gx

@@ -144,7 +144,7 @@ class Model:
                 f"input features {x.shape[1:]} do not match model input {self.spec.input_shape}"
             )
         if self.spec.kind == "mlp":
-            h = T.Tensor(x.reshape(x.shape[0], d))
+            h = T.Tensor(x.reshape(x.shape[0], d), requires_grad=False)
             n_layers = len(self.spec.layer_sizes) - 1
             for i in range(n_layers):
                 h = T.matmul(h, self.registry[f"fc{i}_w"].tensor, tape)
@@ -152,7 +152,7 @@ class Model:
                 if i < n_layers - 1:
                     h = T.relu(h, tape)
             return h
-        h = T.Tensor(x.reshape(x.shape[0], *self.spec.input_shape))
+        h = T.Tensor(x.reshape(x.shape[0], *self.spec.input_shape), requires_grad=False)
         for i, (_, _, stride, pad) in enumerate(self.spec.conv_stack):
             h = T.conv2d(h, self.registry[f"conv{i}_w"].tensor, stride, pad, tape)
             h = T.bias_add(h, self.registry[f"conv{i}_b"].tensor, tape)

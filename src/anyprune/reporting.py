@@ -14,7 +14,6 @@ import os
 
 from . import __version__
 from .config import resolved_text
-from .kernels import active_backend
 from .metrics import summarize
 
 CURVES_COLUMNS = (
@@ -128,7 +127,6 @@ def write_run_dir(log, outdir):
         "config_hash": log.config_hash,
         "variant": log.config.variant,
         "pruner": log.config.pruner if log.config.pruner else "none",
-        "kernel_backend": active_backend(),
         "wall_clock_seconds": log.wall_clock_seconds,
         "version": __version__,
     }

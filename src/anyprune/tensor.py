@@ -15,16 +15,21 @@ from .rng import rng_from
 
 
 class Tensor:
-    """A contiguous row-major float64 array plus an optional gradient buffer."""
+    """A contiguous row-major float64 array plus an optional gradient buffer.
 
-    __slots__ = ("data", "grad")
+    With ``requires_grad=False`` (model input data), matmul and conv2d skip the
+    vector-Jacobian product into this tensor, and its ``grad`` stays None.
+    """
 
-    def __init__(self, data):
+    __slots__ = ("data", "grad", "requires_grad")
+
+    def __init__(self, data, requires_grad=True):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)  # ascontiguousarray would promote 0-d to 1-d
         self.data = arr
         self.grad = None
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -120,7 +125,7 @@ def matmul(a, b, tape=None):
     out = Tensor(a.data @ b.data)
     if tape is not None:
         def bwd(g):
-            return g @ b.data.T, a.data.T @ g
+            return (g @ b.data.T if a.requires_grad else None), a.data.T @ g
 
         tape.record("matmul", (a, b), out, lambda: a.data @ b.data, bwd)
     return out
@@ -181,6 +186,8 @@ def conv2d(x, w, stride=1, padding=0, tape=None):
     out = Tensor(kernels.conv2d_fwd(x.data, w.data, stride, padding))
     if tape is not None:
         def bwd(g):
+            if not x.requires_grad:
+                return None, kernels.conv2d_bwd_w(x.data, w.data, g, stride, padding)
             return kernels.conv2d_bwd(x.data, w.data, g, stride, padding)
 
         tape.record(

@@ -306,6 +306,17 @@ class TestCli:
         )
         assert main(["run", str(cfg)]) == 2
 
+    def test_diverging_run_fails_loudly(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        text = (pathlib.Path(__file__).parents[1] / "configs" / "baseline_blobs.cfg").read_text()
+        cfg.write_text(text + "lr0 = 1e6\n")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "megabatch 1, epoch" in err and "global_iter" in err
+
     def test_sweep_and_plot(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"
         cfg_dir.mkdir()

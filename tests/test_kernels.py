@@ -1,4 +1,4 @@
-"""Both kernel backends must compute the same convolutions and poolings."""
+"""Conv/pool kernels against direct-loop and reference formulas."""
 
 import numpy as np
 import pytest
@@ -8,34 +8,67 @@ from anyprune.errors import ShapeError
 from anyprune.tensor import Tape, Tensor, conv2d, mean_pool2, sum_all
 
 
-@pytest.fixture
-def restore_backend():
-    before = kernels.active_backend()
-    yield
-    kernels.use_backend(before)
+def _conv2d_loops(x, w, gout, stride, padding):
+    """Direct-loop conv2d: output, then (gx, gw) of ``gout`` when one is given."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    kh, kw = w.shape[2], w.shape[3]
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    out = np.zeros((x.shape[0], w.shape[0], ho, wo))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for i in range(ho):
+        for j in range(wo):
+            rows = slice(i * stride, i * stride + kh)
+            cols = slice(j * stride, j * stride + kw)
+            window = xp[:, :, rows, cols]  # [B, Cin, kh, kw]
+            out[:, :, i, j] = np.tensordot(window, w, axes=([1, 2, 3], [1, 2, 3]))
+            if gout is not None:
+                gxp[:, :, rows, cols] += np.tensordot(gout[:, :, i, j], w, axes=(1, 0))
+                gw += np.tensordot(gout[:, :, i, j], window, axes=(0, 0))
+    gx = gxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
+    return out, gx, gw
 
 
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-
-
-@needs_numba
 @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
-def test_backends_agree(restore_backend, stride, padding):
+def test_conv_matches_direct_loops(stride, padding):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((2, 3, 9, 11))
     w = rng.standard_normal((4, 3, 3, 3))
-    kernels.use_backend("numpy")
-    out_np = kernels.conv2d_fwd(x, w, stride, padding)
-    g = rng.standard_normal(out_np.shape)
-    gx_np, gw_np = kernels.conv2d_bwd(x, w, g, stride, padding)
-    pool_np = kernels.meanpool2_fwd(x)
-    gp_np = kernels.meanpool2_bwd(x, rng.standard_normal(pool_np.shape))
-    kernels.use_backend("numba")
-    np.testing.assert_allclose(kernels.conv2d_fwd(x, w, stride, padding), out_np, rtol=1e-10, atol=1e-12)
-    gx_nb, gw_nb = kernels.conv2d_bwd(x, w, g, stride, padding)
-    np.testing.assert_allclose(gx_nb, gx_np, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(gw_nb, gw_np, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(kernels.meanpool2_fwd(x), pool_np, rtol=1e-12)
+    out = kernels.conv2d_fwd(x, w, stride, padding)
+    g = rng.standard_normal(out.shape)
+    ref_out, ref_gx, ref_gw = _conv2d_loops(x, w, g, stride, padding)
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+    gx, gw = kernels.conv2d_bwd(x, w, g, stride, padding)
+    np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gw, ref_gw, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(kernels.conv2d_bwd_w(x, w, g, stride, padding), gw)
+
+
+def _meanpool2_fwd_reference(x):
+    ho, wo = x.shape[2] // 2, x.shape[3] // 2
+    blocks = x[:, :, : 2 * ho, : 2 * wo].reshape(x.shape[0], x.shape[1], ho, 2, wo, 2)
+    return blocks.mean(axis=(3, 5))
+
+
+def _meanpool2_bwd_reference(x, gout):
+    ho, wo = gout.shape[2], gout.shape[3]
+    gx = np.zeros_like(x)
+    gx[:, :, : 2 * ho, : 2 * wo] = np.repeat(np.repeat(gout, 2, axis=2), 2, axis=3) * 0.25
+    return gx
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(32, 8, 14, 14), (32, 16, 7, 7), (2, 3, 9, 11), (3, 2, 6, 5), (1, 1, 2, 2), (4, 3, 7, 3)],
+)
+def test_mean_pool_bits_match_reference_formulas(shape):
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal(shape)
+    out = kernels.meanpool2_fwd(x)
+    assert np.array_equal(out, _meanpool2_fwd_reference(x))
+    g = rng.standard_normal(out.shape)
+    assert np.array_equal(kernels.meanpool2_bwd(x, g), _meanpool2_bwd_reference(x, g))
 
 
 def test_conv_identity_kernel():
@@ -101,28 +134,3 @@ def test_mean_pool_gradient_spreads_quarter():
     loss = sum_all(mean_pool2(x, tape), tape)
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
-
-
-def test_env_flag_selects_numpy(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    import anyprune
-
-    # The child inherits the parent's environment, with the directory that holds
-    # the imported package first on PYTHONPATH, so it imports the same anyprune
-    # from a checkout, from another working directory or from an install.
-    # Without numba, numpy is also the automatic fallback, so only where numba
-    # imports does this tell the flag apart from the fallback.
-    pkg_root = os.path.dirname(os.path.dirname(anyprune.__file__))
-    env = {**os.environ, "ANYPRUNE_NUMBA": "0"}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-    code = "from anyprune import kernels; print(kernels.active_backend())"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"

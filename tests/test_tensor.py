@@ -12,6 +12,7 @@ from anyprune.pruning import SparsityMask
 from anyprune.tensor import (
     Tape,
     Tensor,
+    conv2d,
     hvp_fd,
     matmul,
     mul,
@@ -164,6 +165,32 @@ def _mlp_gradcheck_max_rel_err(seed, hidden=(8,), d=5, c=3, batch=4, h=1e-6):
             gn = (lp - lm) / (2.0 * h)
             worst = max(worst, abs(ga[i] - gn) / max(1.0, abs(ga[i]), abs(gn)))
     return worst
+
+
+class TestInputGradientSkip:
+    """A requires_grad=False input gets no gradient; weight gradients keep their bits."""
+
+    @pytest.mark.parametrize(
+        "op,x_shape,w_shape",
+        [
+            (lambda x, w, tape: matmul(x, w, tape), (5, 4), (4, 3)),
+            (lambda x, w, tape: conv2d(x, w, 1, 1, tape), (2, 3, 6, 5), (4, 3, 3, 3)),
+        ],
+        ids=["matmul", "conv2d"],
+    )
+    def test_weight_grad_unchanged_and_input_grad_none(self, op, x_shape, w_shape):
+        rng = np.random.default_rng(31)
+        x_data = rng.standard_normal(x_shape)
+        w_data = rng.standard_normal(w_shape)
+        grads = {}
+        for requires_grad in (False, True):
+            x = Tensor(x_data, requires_grad=requires_grad)
+            w = Tensor(w_data)
+            tape = Tape()
+            tape.backward(sum_all(op(x, w, tape), tape))
+            assert (x.grad is not None) == requires_grad
+            grads[requires_grad] = w.grad
+        assert np.array_equal(grads[False], grads[True])
 
 
 class TestRelu:
