@@ -7,73 +7,3 @@ generalization gap) after every megabatch.
 """
 
 __version__ = "0.1.0"
-
-from .config import RunConfig, parse_config, resolved_text
-from .datasets import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, write_idx
-from .errors import AnypruneError
-from .harness import MetricsLog, lr_at, run, train_megabatch
-from .metrics import RunSummary, cer, error_count, generalization_gap, summarize
-from .models import ModelSpec, build_model, count_params
-from .optim import OptimState, sgd_momentum_step
-from .pruning import (
-    DeltaSchedule,
-    SparsityMask,
-    apply_mask,
-    keep_count,
-    layer_pruned_fraction,
-    make_delta_schedule,
-    prune_global,
-    score_grasp,
-    score_magnitude,
-    score_random,
-    score_snip,
-)
-from .stream import MegabatchStream, build_stream, draw_pi, replay_view
-from .tensor import Tape, Tensor, backward, hvp_fd, tensor_randn
-
-__all__ = [
-    "AnypruneError",
-    "Dataset",
-    "DeltaSchedule",
-    "MegabatchStream",
-    "MetricsLog",
-    "ModelSpec",
-    "OptimState",
-    "RunConfig",
-    "RunSummary",
-    "SparsityMask",
-    "Tape",
-    "Tensor",
-    "apply_mask",
-    "backward",
-    "build_model",
-    "build_stream",
-    "cer",
-    "count_params",
-    "draw_pi",
-    "error_count",
-    "gen_blobs",
-    "gen_spirals",
-    "generalization_gap",
-    "hvp_fd",
-    "keep_count",
-    "layer_pruned_fraction",
-    "load_csv",
-    "load_idx",
-    "lr_at",
-    "make_delta_schedule",
-    "parse_config",
-    "prune_global",
-    "replay_view",
-    "resolved_text",
-    "run",
-    "score_grasp",
-    "score_magnitude",
-    "score_random",
-    "score_snip",
-    "sgd_momentum_step",
-    "summarize",
-    "tensor_randn",
-    "train_megabatch",
-    "write_idx",
-]

@@ -175,12 +175,9 @@ def _read_pairs(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-        elif ":" in line:
-            key, _, value = line.partition(":")
-        else:
+        if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key in pairs:

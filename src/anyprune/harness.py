@@ -1,10 +1,11 @@
 """Megabatch training loops and the run-variant dispatcher.
 
-One run walks the stream in order. Depending on the variant, the mask is
-refined before training (app_default, app_noreplay_snip, anytime_osp at the
-first megabatch only), after training (app_final), or mid-training after a
-warmup (app_warmup). After each megabatch the best validation checkpoint is
-evaluated on the held-out test set and carried into the next megabatch.
+One run walks the stream in order. The variants differ only in when the mask
+is refined within a megabatch: before training (app_default,
+app_noreplay_snip, anytime_osp at the first megabatch only), after a warmup
+(app_warmup), after training from the best checkpoint (app_final), or never
+(baseline). After each megabatch the best validation checkpoint is evaluated
+on the held-out test set and carried into the next megabatch.
 
 Every random draw is keyed by (purpose, config seed, megabatch, epoch), so an
 identical config reproduces an identical MetricsLog.
@@ -132,6 +133,13 @@ def evaluate(model, x, y, chunk=2048):
     return correct, n, loss_sum / n
 
 
+def _check_loss(kind, loss, t, epoch, global_iter):
+    if not math.isfinite(loss):
+        raise NumericError(
+            f"{kind} loss is {loss} at megabatch {t}, epoch {epoch}, global_iter {global_iter}"
+        )
+
+
 def _run_epoch(model, mask, view, config, t, epoch, optim, global_iter, observer):
     order = rng_from(STREAM_SHUFFLE, config.seed_shuffle, t, epoch).permutation(view.train_idx)
     optim.lr = lr_at(config, t, epoch)
@@ -141,15 +149,12 @@ def _run_epoch(model, mask, view, config, t, epoch, optim, global_iter, observer
     for start in range(0, order.size, config.minibatch):
         xb, yb = view.train_xy(order[start : start + config.minibatch])
         tape = T.Tape()
-        logits = model.forward(xb, tape)
-        loss = T.softmax_cross_entropy(logits, yb, tape)
+        with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
+            logits = model.forward(xb, tape)
+            loss = T.softmax_cross_entropy(logits, yb, tape)
         step_loss = float(loss.data)
         global_iter += 1
-        if not math.isfinite(step_loss):
-            raise NumericError(
-                f"training loss is {step_loss} at megabatch {t}, epoch {epoch}, "
-                f"global_iter {global_iter}"
-            )
+        _check_loss("training", step_loss, t, epoch, global_iter)
         tape.backward(loss)
         grads = {
             name: np.zeros(p.shape) if p.grad is None else p.grad
@@ -160,7 +165,9 @@ def _run_epoch(model, mask, view, config, t, epoch, optim, global_iter, observer
         loss_sum += step_loss * yb.size
         if observer is not None and hasattr(observer, "on_step"):
             observer.on_step(t, epoch, model, optim, mask)
-    val_correct, val_total, val_loss = evaluate(model, *view.val_xy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        val_correct, val_total, val_loss = evaluate(model, *view.val_xy())
+    _check_loss("validation", val_loss, t, epoch, global_iter)
     rec = EpochRecord(
         megabatch=t,
         epoch=epoch,
@@ -257,11 +264,25 @@ def run(config, observer=None):
     )
     model = build_model(model_spec_for_config(config, dataset), config.seed_init)
     total_prunable = count_params(model.registry, prunable_only=True)
-    pruned_run = config.variant != "baseline"
-    mask = SparsityMask.full(model) if pruned_run else None
-    deltas = None
-    if pruned_run and config.variant != "anytime_osp":
-        deltas = make_delta_schedule(config.tau, config.megabatches).values
+    mask = None if config.variant == "baseline" else SparsityMask.full(model)
+    # deltas: the exponents of the megabatches that prune, in stream order;
+    # at: the epochs each megabatch trains before its prune step
+    deltas = ()
+    if config.variant == "anytime_osp":
+        deltas = (config.tau,)
+    elif mask is not None:
+        deltas = make_delta_schedule(config.tau, config.megabatches)
+    at = 0
+    if config.variant == "app_final":
+        at = config.epochs
+    elif config.variant == "app_warmup":
+        at = config.warmup_epochs
+        if at >= config.epochs:
+            at = math.ceil(config.epochs / 2)
+            logger.warning(
+                "warmup_epochs %d >= epochs %d; pruning after epoch %d instead",
+                config.warmup_epochs, config.epochs, at,
+            )
 
     log = MetricsLog(
         config=config,
@@ -324,37 +345,18 @@ def run(config, observer=None):
             log.epochs.extend(records)
             if records:
                 log_event("train", first_epoch=first, last_epoch=last)
-            return snap, rec, records
+            return snap, rec
 
-        if config.variant == "anytime_osp":
-            if t == 1:
-                prune_step(config.tau)
-            best_snap, best_rec, _ = train_span(1, config.epochs)
-        elif config.variant in ("app_default", "app_noreplay_snip"):
+        pre_snap, pre_rec = train_span(1, at)
+        if t <= len(deltas):
+            if config.variant == "app_final":
+                model.restore(pre_snap)
             prune_step(deltas[t - 1])
-            best_snap, best_rec, _ = train_span(1, config.epochs)
-        elif config.variant == "app_warmup":
-            w = config.warmup_epochs
-            if config.epochs <= w:
-                w = math.ceil(config.epochs / 2)
-                logger.warning(
-                    "warmup_epochs %d >= epochs %d; pruning after epoch %d instead",
-                    config.warmup_epochs, config.epochs, w,
-                )
-            _, warm_rec, _ = train_span(1, w)
-            prune_step(deltas[t - 1])
-            best_snap, best_rec, _ = train_span(w + 1, config.epochs)
-            if best_snap is None:
-                # degenerate k <= 1: no post-prune epochs to pick from
-                best_snap, best_rec = model.snapshot(), warm_rec
-        elif config.variant == "app_final":
-            best_snap, best_rec, _ = train_span(1, config.epochs)
-            model.restore(best_snap)
-            prune_step(deltas[t - 1])
-            best_snap = model.snapshot()
-        else:  # baseline
-            best_snap, best_rec, _ = train_span(1, config.epochs)
-
+        best_snap, best_rec = train_span(at + 1, config.epochs)
+        if best_snap is None:
+            # no epochs after the prune: keep the pruned weights and the
+            # earlier span's best record
+            best_snap, best_rec = model.snapshot(), pre_rec
         model.restore(best_snap)
 
         preds = model.predict(dataset.x_test)

@@ -70,6 +70,12 @@ class ModelSpec:
             c = cout
         return c * h * w
 
+    def dense_sizes(self):
+        """Dense layer widths from the dense input through the class count."""
+        if self.kind == "mlp":
+            return self.layer_sizes
+        return (self.flat_dim(), *self.head_hidden, self.class_count)
+
 
 def mlp_spec(input_dim, hidden, class_count):
     sizes = (int(input_dim), *[int(h) for h in hidden], int(class_count))
@@ -145,21 +151,15 @@ class Model:
             )
         if self.spec.kind == "mlp":
             h = T.Tensor(x.reshape(x.shape[0], d), requires_grad=False)
-            n_layers = len(self.spec.layer_sizes) - 1
-            for i in range(n_layers):
-                h = T.matmul(h, self.registry[f"fc{i}_w"].tensor, tape)
-                h = T.bias_add(h, self.registry[f"fc{i}_b"].tensor, tape)
-                if i < n_layers - 1:
-                    h = T.relu(h, tape)
-            return h
-        h = T.Tensor(x.reshape(x.shape[0], *self.spec.input_shape), requires_grad=False)
-        for i, (_, _, stride, pad) in enumerate(self.spec.conv_stack):
-            h = T.conv2d(h, self.registry[f"conv{i}_w"].tensor, stride, pad, tape)
-            h = T.bias_add(h, self.registry[f"conv{i}_b"].tensor, tape)
-            h = T.relu(h, tape)
-            h = T.mean_pool2(h, tape)
-        h = T.reshape(h, (h.shape[0], self.spec.flat_dim()), tape)
-        n_dense = len(self.spec.head_hidden) + 1
+        else:
+            h = T.Tensor(x.reshape(x.shape[0], *self.spec.input_shape), requires_grad=False)
+            for i, (_, _, stride, pad) in enumerate(self.spec.conv_stack):
+                h = T.conv2d(h, self.registry[f"conv{i}_w"].tensor, stride, pad, tape)
+                h = T.bias_add(h, self.registry[f"conv{i}_b"].tensor, tape)
+                h = T.relu(h, tape)
+                h = T.mean_pool2(h, tape)
+            h = T.reshape(h, (h.shape[0], self.spec.flat_dim()), tape)
+        n_dense = len(self.spec.dense_sizes()) - 1
         for i in range(n_dense):
             h = T.matmul(h, self.registry[f"fc{i}_w"].tensor, tape)
             h = T.bias_add(h, self.registry[f"fc{i}_b"].tensor, tape)
@@ -209,31 +209,18 @@ def _dense_init(fan_in, fan_out, seed_keys):
 def build_model(spec, seed):
     """Deterministic model construction: Kaiming-scaled weights, zero biases."""
     reg = ParamRegistry()
-    layer = 0
-    draw = 0
-    if spec.kind == "mlp":
-        sizes = spec.layer_sizes
-        for i in range(len(sizes) - 1):
-            w, b = _dense_init(sizes[i], sizes[i + 1], (seed, draw))
-            reg.add(f"fc{i}_w", w, True, layer)
-            reg.add(f"fc{i}_b", b, False, layer)
-            layer += 1
-            draw += 1
-    else:
-        cin = spec.input_shape[0]
-        for i, (cout, k, _, _) in enumerate(spec.conv_stack):
-            fan_in = cin * k * k
-            w = T.tensor_randn((cout, cin, k, k), (seed, draw), math.sqrt(2.0 / fan_in))
-            reg.add(f"conv{i}_w", w, True, layer)
-            reg.add(f"conv{i}_b", T.Tensor(np.zeros(cout)), False, layer)
-            cin = cout
-            layer += 1
-            draw += 1
-        sizes = (spec.flat_dim(), *spec.head_hidden, spec.class_count)
-        for i in range(len(sizes) - 1):
-            w, b = _dense_init(sizes[i], sizes[i + 1], (seed, draw))
-            reg.add(f"fc{i}_w", w, True, layer)
-            reg.add(f"fc{i}_b", b, False, layer)
-            layer += 1
-            draw += 1
+    # one draw per layer, convs first; the layer index doubles as the draw key
+    cin = spec.input_shape[0]
+    for layer, (cout, k, _, _) in enumerate(spec.conv_stack):
+        fan_in = cin * k * k
+        w = T.tensor_randn((cout, cin, k, k), (seed, layer), math.sqrt(2.0 / fan_in))
+        reg.add(f"conv{layer}_w", w, True, layer)
+        reg.add(f"conv{layer}_b", T.Tensor(np.zeros(cout)), False, layer)
+        cin = cout
+    sizes = spec.dense_sizes()
+    for i in range(len(sizes) - 1):
+        layer = len(spec.conv_stack) + i
+        w, b = _dense_init(sizes[i], sizes[i + 1], (seed, layer))
+        reg.add(f"fc{i}_w", w, True, layer)
+        reg.add(f"fc{i}_b", b, False, layer)
     return Model(spec, reg)

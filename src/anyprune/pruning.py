@@ -7,8 +7,6 @@ highest-scoring positions across all prunable tensors jointly, breaking ties
 toward the smaller global flat index (registry order, then row-major offset).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -51,26 +49,18 @@ class SparsityMask:
         )
 
 
-@dataclass(frozen=True)
-class DeltaSchedule:
-    """Per-megabatch sparsity exponents: keep fraction at step t is 0.8**values[t]."""
-
-    tau: float
-    steps: int
-    values: tuple
-
-
 def make_delta_schedule(tau, steps):
-    """Uniform exponents from 1 to tau inclusive; a single step jumps to tau."""
+    """Per-megabatch sparsity exponents as a tuple: keep fraction 0.8**delta.
+
+    Uniform from 1 to tau inclusive; a single step jumps to tau.
+    """
     if tau < 1.0:
         raise ParameterError(f"tau must be >= 1, got {tau}")
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
     if steps == 1:
-        values = (float(tau),)
-    else:
-        values = tuple(float(v) for v in np.linspace(1.0, float(tau), steps))
-    return DeltaSchedule(tau=float(tau), steps=int(steps), values=values)
+        return (float(tau),)
+    return tuple(float(v) for v in np.linspace(1.0, float(tau), steps))
 
 
 def keep_count(delta, total):
@@ -113,7 +103,7 @@ def score_snip(model, mask, x, y, batch_size=None):
     return scores
 
 
-def score_grasp(model, mask, x, y, eps=None, batch_size=None):
+def score_grasp(model, mask, x, y, batch_size=None):
     """Gradient-flow saliency -w * (H g); pruned positions score +inf.
 
     Smaller is better for keeping: callers selecting with a keep-largest rule
@@ -133,7 +123,7 @@ def score_grasp(model, mask, x, y, eps=None, batch_size=None):
     def loss_fn(tape):
         return model.loss_on_tape(x, y, tape)
 
-    hv = T.hvp_fd(loss_fn, params, v, eps)
+    hv = T.hvp_fd(loss_fn, params, v)
     hv_by_name = {e.name: h for e, h in zip(model.registry, hv)}
     scores = {}
     for e in model.registry.prunable():

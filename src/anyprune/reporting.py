@@ -163,6 +163,7 @@ def read_megabatches_csv(path):
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 15, 30, 45
+_PW, _PH = _W - _ML - _MR, _H - _MT - _MB  # plot area inside the margins
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2")
 
 
@@ -171,6 +172,36 @@ def _ticks(lo, hi, n=5):
         hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
+
+
+def _svg_open(title):
+    """A chart buffer holding the canvas, the title and the plot-area frame."""
+    out = io.StringIO()
+    out.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">\n'
+    )
+    out.write(f'<rect width="{_W}" height="{_H}" fill="white"/>\n')
+    out.write(
+        f'<text x="{_W / 2:.1f}" y="18" text-anchor="middle" font-size="14" '
+        f'font-family="sans-serif">{title}</text>\n'
+    )
+    out.write(
+        f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" fill="none" '
+        f'stroke="#333" stroke-width="1"/>\n'
+    )
+    return out
+
+
+def _svg_axis_labels(out, xlabel, ylabel):
+    out.write(
+        f'<text x="{_ML + _PW / 2:.1f}" y="{_H - 8}" text-anchor="middle" '
+        f'font-size="11" font-family="sans-serif">{xlabel}</text>\n'
+    )
+    out.write(
+        f'<text x="14" y="{_MT + _PH / 2:.1f}" text-anchor="middle" font-size="11" '
+        f'font-family="sans-serif" transform="rotate(-90 14 {_MT + _PH / 2:.1f})">{ylabel}</text>\n'
+    )
 
 
 def _svg_line_chart(series, title, xlabel, ylabel):
@@ -183,31 +214,17 @@ def _svg_line_chart(series, title, xlabel, ylabel):
         xhi = xlo + 1.0
     if yhi == ylo:
         yhi = ylo + 1.0
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def px(x):
-        return _ML + (x - xlo) / (xhi - xlo) * pw
+        return _ML + (x - xlo) / (xhi - xlo) * _PW
 
     def py(y):
-        return _MT + ph - (y - ylo) / (yhi - ylo) * ph
+        return _MT + _PH - (y - ylo) / (yhi - ylo) * _PH
 
-    out = io.StringIO()
-    out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">\n'
-    )
-    out.write(f'<rect width="{_W}" height="{_H}" fill="white"/>\n')
-    out.write(
-        f'<text x="{_W / 2:.1f}" y="18" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{title}</text>\n'
-    )
-    out.write(
-        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
-        f'stroke="#333" stroke-width="1"/>\n'
-    )
+    out = _svg_open(title)
     for v in _ticks(xlo, xhi):
         out.write(
-            f'<text x="{px(v):.1f}" y="{_MT + ph + 16}" text-anchor="middle" '
+            f'<text x="{px(v):.1f}" y="{_MT + _PH + 16}" text-anchor="middle" '
             f'font-size="10" font-family="sans-serif">{v:.4g}</text>\n'
         )
     for v in _ticks(ylo, yhi):
@@ -215,14 +232,7 @@ def _svg_line_chart(series, title, xlabel, ylabel):
             f'<text x="{_ML - 6}" y="{py(v) + 3:.1f}" text-anchor="end" '
             f'font-size="10" font-family="sans-serif">{v:.4g}</text>\n'
         )
-    out.write(
-        f'<text x="{_ML + pw / 2:.1f}" y="{_H - 8}" text-anchor="middle" '
-        f'font-size="11" font-family="sans-serif">{xlabel}</text>\n'
-    )
-    out.write(
-        f'<text x="14" y="{_MT + ph / 2:.1f}" text-anchor="middle" font-size="11" '
-        f'font-family="sans-serif" transform="rotate(-90 14 {_MT + ph / 2:.1f})">{ylabel}</text>\n'
-    )
+    _svg_axis_labels(out, xlabel, ylabel)
     for i, (label, pts) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
@@ -230,7 +240,7 @@ def _svg_line_chart(series, title, xlabel, ylabel):
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
         )
         out.write(
-            f'<text x="{_ML + pw - 6}" y="{_MT + 14 + 13 * i}" text-anchor="end" '
+            f'<text x="{_ML + _PW - 6}" y="{_MT + 14 + 13 * i}" text-anchor="end" '
             f'font-size="10" font-family="sans-serif" fill="{color}">{label}</text>\n'
         )
     out.write("</svg>\n")
@@ -239,63 +249,42 @@ def _svg_line_chart(series, title, xlabel, ylabel):
 
 def _svg_grouped_bars(groups, bar_labels, title, xlabel, ylabel):
     """groups: list of (group_label, [height per bar]) with heights in [0, 1]."""
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
-    out = io.StringIO()
-    out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">\n'
-    )
-    out.write(f'<rect width="{_W}" height="{_H}" fill="white"/>\n')
-    out.write(
-        f'<text x="{_W / 2:.1f}" y="18" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{title}</text>\n'
-    )
-    out.write(
-        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
-        f'stroke="#333" stroke-width="1"/>\n'
-    )
+    out = _svg_open(title)
     for v in _ticks(0.0, 1.0):
-        y = _MT + ph - v * ph
+        y = _MT + _PH - v * _PH
         out.write(
             f'<text x="{_ML - 6}" y="{y + 3:.1f}" text-anchor="end" font-size="10" '
             f'font-family="sans-serif">{v:.2f}</text>\n'
         )
     n_groups = max(1, len(groups))
     n_bars = max(1, len(bar_labels))
-    group_w = pw / n_groups
+    group_w = _PW / n_groups
     bar_w = group_w * 0.8 / n_bars
     for gi, (glabel, heights) in enumerate(groups):
         x0 = _ML + gi * group_w + group_w * 0.1
         for bi, h in enumerate(heights):
             color = _COLORS[bi % len(_COLORS)]
-            bh = max(0.0, min(1.0, h)) * ph
+            bh = max(0.0, min(1.0, h)) * _PH
             out.write(
-                f'<rect x="{x0 + bi * bar_w:.2f}" y="{_MT + ph - bh:.2f}" '
+                f'<rect x="{x0 + bi * bar_w:.2f}" y="{_MT + _PH - bh:.2f}" '
                 f'width="{bar_w:.2f}" height="{bh:.2f}" fill="{color}"/>\n'
             )
         out.write(
-            f'<text x="{x0 + group_w * 0.4:.1f}" y="{_MT + ph + 16}" text-anchor="middle" '
+            f'<text x="{x0 + group_w * 0.4:.1f}" y="{_MT + _PH + 16}" text-anchor="middle" '
             f'font-size="10" font-family="sans-serif">{glabel}</text>\n'
         )
     for bi, label in enumerate(bar_labels):
         color = _COLORS[bi % len(_COLORS)]
         out.write(
-            f'<text x="{_ML + pw - 6}" y="{_MT + 14 + 13 * bi}" text-anchor="end" '
+            f'<text x="{_ML + _PW - 6}" y="{_MT + 14 + 13 * bi}" text-anchor="end" '
             f'font-size="10" font-family="sans-serif" fill="{color}">{label}</text>\n'
         )
-    out.write(
-        f'<text x="{_ML + pw / 2:.1f}" y="{_H - 8}" text-anchor="middle" '
-        f'font-size="11" font-family="sans-serif">{xlabel}</text>\n'
-    )
-    out.write(
-        f'<text x="14" y="{_MT + ph / 2:.1f}" text-anchor="middle" font-size="11" '
-        f'font-family="sans-serif" transform="rotate(-90 14 {_MT + ph / 2:.1f})">{ylabel}</text>\n'
-    )
+    _svg_axis_labels(out, xlabel, ylabel)
     out.write("</svg>\n")
     return out.getvalue()
 
 
-def _render_charts(gap_pts, cer_pts, layer_groups, layer_labels, outdir, prefix=""):
+def _render_charts(gap_pts, cer_pts, layer_groups, layer_labels, outdir):
     gap_svg = _svg_line_chart(
         [("gen gap", gap_pts)] if gap_pts else [],
         "Generalization gap over training", "optimizer steps", "gap (pp)",
@@ -311,30 +300,8 @@ def _render_charts(gap_pts, cer_pts, layer_groups, layer_labels, outdir, prefix=
     for name, content in (
         ("gen_gap.svg", gap_svg), ("cer.svg", cer_svg), ("layer_pruned.svg", layers_svg),
     ):
-        with open(os.path.join(outdir, prefix + name), "w", encoding="utf-8", newline="\n") as f:
+        with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as f:
             f.write(content)
-
-
-def emit_svg(log, path_prefix):
-    """Render the three run charts from an in-memory log.
-
-    ``path_prefix`` is prepended to each file name (it may include directories,
-    which must exist).
-    """
-    gap_pts = [
-        (float(r.global_iter), 100.0 * (r.train_acc - r.val_acc)) for r in log.epochs
-    ]
-    running = 0
-    cer_pts = []
-    for r in log.megabatches:
-        running += r.test_errors
-        cer_pts.append((float(r.megabatch), float(running)))
-    groups = [
-        (str(r.megabatch), [dict(r.layer_pruned)[name] for name in log.layer_names])
-        for r in log.megabatches
-    ]
-    outdir, prefix = os.path.split(path_prefix)
-    _render_charts(gap_pts, cer_pts, groups, list(log.layer_names), outdir or ".", prefix)
 
 
 def emit_svg_from_dir(rundir):

@@ -30,8 +30,6 @@ class MegabatchStream:
 
     dataset: object
     megabatches: list
-    seed: int = 0
-    per_class_cap: int | None = None
 
     def __len__(self):
         return len(self.megabatches)
@@ -94,9 +92,7 @@ def build_stream(dataset, num_megabatches, val_frac=0.1, per_class_cap=None, see
     for t in range(num_megabatches):
         chunk = perm[t * per_mb : (t + 1) * per_mb]
         megabatches.append(Megabatch(train_idx=chunk[:train_n], val_idx=chunk[train_n:]))
-    return MegabatchStream(
-        dataset=dataset, megabatches=megabatches, seed=seed, per_class_cap=per_class_cap
-    )
+    return MegabatchStream(dataset=dataset, megabatches=megabatches)
 
 
 def replay_view(stream, t, replay="full"):

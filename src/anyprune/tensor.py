@@ -60,13 +60,12 @@ def tensor_randn(shape, seed, scale):
 
 
 class _Node:
-    __slots__ = ("name", "inputs", "output", "fwd", "bwd")
+    __slots__ = ("name", "inputs", "output", "bwd")
 
-    def __init__(self, name, inputs, output, fwd, bwd):
+    def __init__(self, name, inputs, output, bwd):
         self.name = name
         self.inputs = inputs
         self.output = output
-        self.fwd = fwd
         self.bwd = bwd
 
 
@@ -79,13 +78,8 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def record(self, name, inputs, output, fwd, bwd):
-        self._nodes.append(_Node(name, inputs, output, fwd, bwd))
-
-    def replay(self):
-        """Recompute every recorded output in order from current input data."""
-        for node in self._nodes:
-            node.output.data = node.fwd()
+    def record(self, name, inputs, output, bwd):
+        self._nodes.append(_Node(name, inputs, output, bwd))
 
     def backward(self, loss):
         """Accumulate gradients of a recorded scalar ``loss`` into ``.grad``."""
@@ -108,11 +102,6 @@ class Tape:
                 t.grad = gi if t.grad is None else t.grad + gi
 
 
-def backward(tape, loss):
-    """Reverse-mode pass; gradients land on each input tensor's ``grad``."""
-    tape.backward(loss)
-
-
 # ---------------------------------------------------------------------------
 # primitive forward operations
 
@@ -127,7 +116,7 @@ def matmul(a, b, tape=None):
         def bwd(g):
             return (g @ b.data.T if a.requires_grad else None), a.data.T @ g
 
-        tape.record("matmul", (a, b), out, lambda: a.data @ b.data, bwd)
+        tape.record("matmul", (a, b), out, bwd)
     return out
 
 
@@ -139,21 +128,20 @@ def bias_add(x, b, tape=None):
     if x.data.ndim == 2:
         if b.shape != (x.shape[1],):
             raise ShapeError(f"bias {b.shape} does not match columns of {x.shape}")
-        fwd = lambda: x.data + b.data
+        out = Tensor(x.data + b.data)
         reduce_axes = (0,)
     elif x.data.ndim == 4:
         if b.shape != (x.shape[1],):
             raise ShapeError(f"bias {b.shape} does not match channels of {x.shape}")
-        fwd = lambda: x.data + b.data[None, :, None, None]
+        out = Tensor(x.data + b.data[None, :, None, None])
         reduce_axes = (0, 2, 3)
     else:
         raise ShapeError(f"bias_add supports 2-d or 4-d inputs, got {x.shape}")
-    out = Tensor(fwd())
     if tape is not None:
         def bwd(g):
             return g, g.sum(axis=reduce_axes)
 
-        tape.record("bias_add", (x, b), out, fwd, bwd)
+        tape.record("bias_add", (x, b), out, bwd)
     return out
 
 
@@ -163,7 +151,7 @@ def relu(x, tape=None):
         def bwd(g):
             return (g * (x.data > 0.0),)
 
-        tape.record("relu", (x,), out, lambda: np.maximum(x.data, 0.0), bwd)
+        tape.record("relu", (x,), out, bwd)
     return out
 
 
@@ -190,10 +178,7 @@ def conv2d(x, w, stride=1, padding=0, tape=None):
                 return None, kernels.conv2d_bwd_w(x.data, w.data, g, stride, padding)
             return kernels.conv2d_bwd(x.data, w.data, g, stride, padding)
 
-        tape.record(
-            "conv2d", (x, w), out,
-            lambda: kernels.conv2d_fwd(x.data, w.data, stride, padding), bwd,
-        )
+        tape.record("conv2d", (x, w), out, bwd)
     return out
 
 
@@ -208,7 +193,7 @@ def mean_pool2(x, tape=None):
         def bwd(g):
             return (kernels.meanpool2_bwd(x.data, g),)
 
-        tape.record("mean_pool2", (x,), out, lambda: kernels.meanpool2_fwd(x.data), bwd)
+        tape.record("mean_pool2", (x,), out, bwd)
     return out
 
 
@@ -221,7 +206,7 @@ def reshape(x, shape, tape=None):
         def bwd(g):
             return (g.reshape(x.shape),)
 
-        tape.record("reshape", (x,), out, lambda: x.data.reshape(shape), bwd)
+        tape.record("reshape", (x,), out, bwd)
     return out
 
 
@@ -234,7 +219,7 @@ def mul(a, b, tape=None):
         def bwd(g):
             return g * b.data, g * a.data
 
-        tape.record("mul", (a, b), out, lambda: a.data * b.data, bwd)
+        tape.record("mul", (a, b), out, bwd)
     return out
 
 
@@ -245,7 +230,7 @@ def scale(x, c, tape=None):
         def bwd(g):
             return (g * c,)
 
-        tape.record("scale", (x,), out, lambda: x.data * c, bwd)
+        tape.record("scale", (x,), out, bwd)
     return out
 
 
@@ -255,7 +240,7 @@ def sum_all(x, tape=None):
         def bwd(g):
             return (np.broadcast_to(g, x.shape).copy() if x.shape else np.asarray(g),)
 
-        tape.record("sum_all", (x,), out, lambda: x.data.sum(), bwd)
+        tape.record("sum_all", (x,), out, bwd)
     return out
 
 
@@ -281,19 +266,15 @@ def softmax_cross_entropy(logits, labels, tape=None):
     if y.size and (y.min() < 0 or y.max() >= c):
         raise LabelError(f"labels must lie in [0, {c})")
 
-    def fwd():
-        logp = _log_softmax(logits.data)
-        return np.asarray(-logp[np.arange(y.shape[0]), y].mean())
-
-    out = Tensor(fwd())
+    logp = _log_softmax(logits.data)
+    out = Tensor(np.asarray(-logp[np.arange(y.shape[0]), y].mean()))
     if tape is not None:
         def bwd(g):
-            logp = _log_softmax(logits.data)
             p = np.exp(logp)
             p[np.arange(y.shape[0]), y] -= 1.0
             return (p * (float(g) / y.shape[0]),)
 
-        tape.record("softmax_ce", (logits,), out, fwd, bwd)
+        tape.record("softmax_ce", (logits,), out, bwd)
     return out
 
 

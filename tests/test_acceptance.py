@@ -153,7 +153,7 @@ def test_criterion_3_schedule_sparsity_exactness(schedule_run):
     with criterion(3, "0.8^delta kept counts, exactly"):
         log, _, elapsed, _ = schedule_run
         total = log.prunable_total
-        deltas = make_delta_schedule(4.5, 8).values
+        deltas = make_delta_schedule(4.5, 8)
         expected = [max(1, round_half_up(0.8 ** d * total)) for d in deltas]
         got = [rec.kept_count for rec in log.megabatches]
         assert got == expected, f"{got} != {expected}"

@@ -1,9 +1,13 @@
 """Variant mechanics: event order, pi sizes, carryover, and mask trajectories."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from anyprune import harness
 from anyprune.config import parse_config
+from anyprune.errors import NumericError
 from anyprune.harness import run, train_megabatch
 from anyprune.models import build_model, mlp_spec
 from anyprune.pruning import keep_count, make_delta_schedule
@@ -94,6 +98,48 @@ class TestVariantEventOrder:
                 np.testing.assert_array_equal(later[name], arr)
 
 
+class _MaskedWeights:
+    """Largest |weight| at a masked position, per megabatch end."""
+
+    def __init__(self):
+        self.largest = []
+
+    def on_megabatch_end(self, t, model, mask):
+        self.largest.append(max(
+            float(np.abs(model.registry[name].tensor.data[m == 0.0]).max(initial=0.0))
+            for name, m in mask.arrays.items()
+        ))
+
+
+class TestNoEpochsAfterPrune:
+    """At epochs = 1, app_warmup and app_final prune after the only epoch."""
+
+    @pytest.mark.parametrize("variant", ["app_warmup", "app_final"])
+    def test_single_epoch_keeps_pruned_weights_and_epoch_one(self, variant):
+        obs = _MaskedWeights()
+        log = run(_cfg(variant=variant, epochs=1), observer=obs)
+        for t in (1, 2, 3):
+            assert _event_kinds(log, t) == ["train", "prune", "eval"]
+        assert [r.best_epoch for r in log.megabatches] == [1, 1, 1]
+        want = [keep_count(d, log.prunable_total) for d in make_delta_schedule(3.0, 3)]
+        assert [r.kept_count for r in log.megabatches] == want
+        assert obs.largest == [0.0, 0.0, 0.0]
+
+    def test_warmup_fallback_warns_once_per_run(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="anyprune.harness"):
+            run(_cfg(variant="app_warmup", epochs=1))
+        assert [r.getMessage() for r in caplog.records] == [
+            "warmup_epochs 20 >= epochs 1; pruning after epoch 1 instead"
+        ]
+
+
+class TestNonFiniteLoss:
+    def test_validation_loss_is_checked(self, monkeypatch):
+        monkeypatch.setattr(harness, "evaluate", lambda model, x, y: (0, y.size, float("nan")))
+        with pytest.raises(NumericError, match="validation loss is nan at megabatch 1, epoch 1,"):
+            run(_cfg(variant="baseline"))
+
+
 class TestPiSizes:
     def test_noreplay_snip_draws_from_current_megabatch(self):
         log = run(_cfg(variant="app_noreplay_snip"))
@@ -119,14 +165,14 @@ class TestPiSizes:
 class TestSparsityTrajectory:
     def test_app_kept_counts_follow_schedule(self):
         log = run(_cfg())
-        deltas = make_delta_schedule(3.0, 3).values
+        deltas = make_delta_schedule(3.0, 3)
         want = [keep_count(d, log.prunable_total) for d in deltas]
         assert [r.kept_count for r in log.megabatches] == want
         assert all(a >= b for a, b in zip(want, want[1:]))
 
     def test_app_final_mask_lags_during_training(self):
         log = run(_cfg(variant="app_final"))
-        deltas = make_delta_schedule(3.0, 3).values
+        deltas = make_delta_schedule(3.0, 3)
         want = [keep_count(d, log.prunable_total) for d in deltas]
         # megabatch t trains under the previous mask, then prunes at the end
         for rec in log.epochs:
@@ -136,7 +182,7 @@ class TestSparsityTrajectory:
 
     def test_warmup_epoch_records_switch_mid_megabatch(self):
         log = run(_cfg(variant="app_warmup", epochs=6, warmup_epochs=2))
-        deltas = make_delta_schedule(3.0, 3).values
+        deltas = make_delta_schedule(3.0, 3)
         want = [keep_count(d, log.prunable_total) for d in deltas]
         for rec in log.epochs:
             before = log.prunable_total if rec.megabatch == 1 else want[rec.megabatch - 2]
@@ -261,7 +307,7 @@ class TestOtherSourcesAndPruners:
         log = run(_cfg(pruner=pruner, epochs=1))
         assert [r.kept_count for r in log.megabatches] == [
             keep_count(d, log.prunable_total)
-            for d in make_delta_schedule(3.0, 3).values
+            for d in make_delta_schedule(3.0, 3)
         ]
 
 

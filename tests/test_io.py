@@ -3,6 +3,7 @@
 import json
 import pathlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -101,9 +102,9 @@ class TestParseConfig:
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
 
-    def test_colon_separator_accepted(self):
-        cfg = parse_config("variant: baseline\nmegabatches: 2\ndataset: synthetic_blobs\n")
-        assert cfg.variant == "baseline"
+    def test_colon_separator_rejected_with_line(self):
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+            parse_config("variant = baseline\nmegabatches: 2\ndataset = synthetic_blobs\n")
 
     def test_seed_override_preserves_explicit_subseeds(self):
         cfg = parse_config(MINIMAL + "seed_pruning = 9\n", seed_override=4)
@@ -311,11 +312,13 @@ class TestCli:
         text = (pathlib.Path(__file__).parents[1] / "configs" / "baseline_blobs.cfg").read_text()
         cfg.write_text(text + "lr0 = 1e6\n")
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            # the overflow on the way to a non-finite loss is not printed
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "megabatch 1, epoch" in err and "global_iter" in err
+        assert "megabatch 1, epoch 3, global_iter 10" in err
 
     def test_sweep_and_plot(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"

@@ -27,13 +27,13 @@ class TestDeltaSchedule:
     def test_uniform_spacing(self):
         sched = make_delta_schedule(4.5, 8)
         np.testing.assert_allclose(
-            sched.values, [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5], atol=1e-12
+            sched, [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5], atol=1e-12
         )
-        assert sched.values[0] == 1.0
-        assert sched.values[-1] == 4.5
+        assert sched[0] == 1.0
+        assert sched[-1] == 4.5
 
     def test_single_step_jumps_to_tau(self):
-        assert make_delta_schedule(4.5, 1).values == (4.5,)
+        assert make_delta_schedule(4.5, 1) == (4.5,)
 
     def test_final_keep_fraction_matches_remaining_weights(self):
         # 0.8**4.5 = 0.366357..., i.e. 36.63% of dense weights remain (2 dp)
@@ -47,7 +47,7 @@ class TestDeltaSchedule:
 
     def test_spacing_uniform_to_eps(self):
         for tau, steps in ((4.5, 8), (13.0, 25), (2.0, 3)):
-            v = np.asarray(make_delta_schedule(tau, steps).values)
+            v = np.asarray(make_delta_schedule(tau, steps))
             gaps = np.diff(v)
             assert np.all(np.abs(gaps - gaps[0]) < 1e-12)
 
@@ -60,7 +60,7 @@ class TestKeepCount:
 
     def test_trajectory_for_ten_thousand(self):
         sched = make_delta_schedule(4.5, 8)
-        got = [keep_count(d, 10000) for d in sched.values]
+        got = [keep_count(d, 10000) for d in sched]
         assert got == [8000, 7155, 6400, 5724, 5120, 4579, 4096, 3664]
 
     def test_bad_total(self):

@@ -127,18 +127,6 @@ class TestBackward:
         with pytest.raises(TapeError):
             tape.backward(out)
 
-    def test_replay_reproduces_outputs_bitexactly(self):
-        rng = np.random.default_rng(11)
-        model = build_model(mlp_spec(4, (6,), 3), seed=2)
-        x = rng.standard_normal((3, 4))
-        y = rng.integers(0, 3, 3)
-        tape = Tape()
-        loss = model.loss_on_tape(x, y, tape)
-        recorded = float(loss.data)
-        loss.data = np.asarray(0.0)
-        tape.replay()
-        assert float(loss.data) == recorded
-
     def test_gradients_match_finite_differences(self):
         # spot-check a couple of seeds here; the acceptance suite runs twenty
         for seed in (0, 1):
