@@ -13,6 +13,9 @@ from .errors import AnypruneError, ConfigError
 from .harness import run
 from .reporting import emit_svg_from_dir, write_run_dir
 
+# failures that exit 2; a sweep records them per config and runs the rest
+RUNTIME_ERRORS = (AnypruneError, OSError, FloatingPointError)
+
 
 def _execute(config, outdir):
     log = run(config)
@@ -33,10 +36,14 @@ def _cmd_run(args):
     return 0
 
 
-def _sweep_one(item):
-    path, config, outdir = item
-    _execute(config, outdir)
-    return path
+def _sweep_one(job):
+    """Run one sweep job; returns None, or the error that stopped it."""
+    _, config, outdir = job
+    try:
+        _execute(config, outdir)
+    except RUNTIME_ERRORS as exc:
+        return str(exc)
+    return None
 
 
 def _cmd_sweep(args):
@@ -55,11 +62,14 @@ def _cmd_sweep(args):
         jobs.append((path, config, os.path.join(base, stem)))
     if args.parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            list(pool.map(_sweep_one, jobs))
+            errors = list(pool.map(_sweep_one, jobs))
     else:
-        for job in jobs:
-            _sweep_one(job)
-    return 0
+        errors = [_sweep_one(job) for job in jobs]
+    failed = sum(e is not None for e in errors)
+    print(f"sweep: {len(jobs) - failed} of {len(jobs)} configs finished")
+    for (path, _, outdir), error in zip(jobs, errors):
+        print(f"failed  {path}: {error}" if error else f"ok      {path} -> {outdir}")
+    return 2 if failed else 0
 
 
 def _cmd_plot(args):
@@ -101,7 +111,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (AnypruneError, OSError, FloatingPointError) as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,6 @@ alone; the echo's sha256 is the config hash.
 """
 
 import hashlib
-import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -95,8 +94,6 @@ def _parse_float(s, key):
 
 
 def _parse_int_list(s, key):
-    if isinstance(s, (tuple, list)):
-        return tuple(int(v) for v in s)
     s = s.strip()
     if not s:
         return ()
@@ -109,6 +106,11 @@ def _parse_str(s, key):
 
 def _is_pruned(r):
     return r["variant"] != "baseline"
+
+
+def _default_test_per_class(r):
+    per_class = r["blob_per_class"] if r["dataset"] == "synthetic_blobs" else r["spiral_per_class"]
+    return max(1, per_class // 5)
 
 
 # (name, parser, default, applicability). A callable default resolves against
@@ -156,7 +158,7 @@ _FIELDS = (
     (
         "test_per_class",
         _parse_int,
-        lambda r: max(1, (r.get("blob_per_class") or r.get("spiral_per_class")) // 5),
+        _default_test_per_class,
         lambda r: r["dataset"] in ("synthetic_blobs", "synthetic_spirals"),
     ),
     ("seed", _parse_int, 0, None),
@@ -212,6 +214,14 @@ def _validate(cfg):
     check(cfg.post_m1_lr > 0.0, "post_m1_lr", "must be positive")
     check(0.0 <= cfg.momentum < 1.0, "momentum", "must be in [0, 1)")
     check(cfg.weight_decay >= 0.0, "weight_decay", "must be >= 0")
+    for key in ("mlp_hidden", "conv_channels", "head_hidden"):
+        sizes = getattr(cfg, key)
+        if sizes is not None:
+            check(all(v >= 1 for v in sizes), key, f"every entry must be >= 1, got {sizes}")
+    if cfg.model == "convnet":
+        check(cfg.conv_kernel >= 1, "conv_kernel", "must be >= 1")
+        check(cfg.conv_stride >= 1, "conv_stride", "must be >= 1")
+        check(cfg.conv_padding >= 0, "conv_padding", "must be >= 0")
     if cfg.per_class_cap is not None:
         check(cfg.per_class_cap >= 1, "per_class_cap", "must be >= 1")
     if cfg.dataset == "csv":
@@ -230,16 +240,18 @@ def _validate(cfg):
 
 
 def parse_config(source, seed_override=None):
-    """Parse a config from a file path or raw text into a resolved RunConfig."""
+    """Parse a config into a resolved RunConfig.
+
+    A ``str`` that contains a newline is the config text itself; any other
+    ``str`` or path-like object names the file to read.
+    """
     text = source
-    if isinstance(source, (str, os.PathLike)):
-        looks_like_text = isinstance(source, str) and ("\n" in source or "=" in source)
-        if not looks_like_text or os.path.exists(source):
-            try:
-                with open(source, encoding="utf-8") as f:
-                    text = f.read()
-            except OSError as exc:
-                raise ConfigError(f"cannot read config: {exc}") from None
+    if not isinstance(source, str) or "\n" not in source:
+        try:
+            with open(source, encoding="utf-8") as f:
+                text = f.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
     pairs = _read_pairs(text)
     unknown = sorted(set(pairs) - _KNOWN_KEYS)
     if unknown:

@@ -148,20 +148,12 @@ def _run_epoch(model, mask, view, config, t, epoch, optim, global_iter, observer
     loss_sum = 0.0
     for start in range(0, order.size, config.minibatch):
         xb, yb = view.train_xy(order[start : start + config.minibatch])
-        tape = T.Tape()
         with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
-            logits = model.forward(xb, tape)
-            loss = T.softmax_cross_entropy(logits, yb, tape)
-        step_loss = float(loss.data)
+            step_loss, grads, logits = model.loss_and_grads(xb, yb)
         global_iter += 1
         _check_loss("training", step_loss, t, epoch, global_iter)
-        tape.backward(loss)
-        grads = {
-            name: np.zeros(p.shape) if p.grad is None else p.grad
-            for name, p in params.items()
-        }
         sgd_momentum_step(params, grads, optim, mask)
-        correct += int((np.argmax(logits.data, axis=1) == yb).sum())
+        correct += int((np.argmax(logits, axis=1) == yb).sum())
         loss_sum += step_loss * yb.size
         if observer is not None and hasattr(observer, "on_step"):
             observer.on_step(t, epoch, model, optim, mask)

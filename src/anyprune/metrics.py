@@ -43,8 +43,6 @@ class RunSummary:
     kept_count_trajectory: list
     megabatch_errors: list
     test_set_size: int
-    config_hash: str
-    wall_clock_seconds: float
 
 
 def summarize(log):
@@ -70,6 +68,4 @@ def summarize(log):
         kept_count_trajectory=[rec.kept_count for rec in log.megabatches],
         megabatch_errors=errors,
         test_set_size=last.test_total,
-        config_hash=log.config_hash,
-        wall_clock_seconds=log.wall_clock_seconds,
     )

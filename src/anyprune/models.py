@@ -99,17 +99,16 @@ class RegistryEntry:
     name: str
     tensor: T.Tensor
     prunable: bool
-    layer_index: int
 
 
 @dataclass
 class ParamRegistry:
     entries: list = field(default_factory=list)
 
-    def add(self, name, tensor, prunable, layer_index):
+    def add(self, name, tensor, prunable):
         if any(e.name == name for e in self.entries):
             raise ModelSpecError(f"duplicate parameter name {name!r}")
-        self.entries.append(RegistryEntry(name, tensor, prunable, layer_index))
+        self.entries.append(RegistryEntry(name, tensor, prunable))
 
     def __iter__(self):
         return iter(self.entries)
@@ -173,15 +172,20 @@ class Model:
         return T.softmax_cross_entropy(logits, y, tape)
 
     def loss_and_grads(self, x, y):
-        """Mean cross-entropy over the batch and gradients per parameter."""
+        """Mean cross-entropy over the batch, gradients per parameter, logits.
+
+        Returns (loss, grads, logits): a float, a name -> array mapping over
+        every registry entry, and the [batch, C] logits array.
+        """
         tape = T.Tape()
-        loss = self.loss_on_tape(x, y, tape)
+        logits = self.forward(x, tape)
+        loss = T.softmax_cross_entropy(logits, y, tape)
         tape.backward(loss)
         grads = {
             e.name: np.zeros(e.tensor.shape) if e.tensor.grad is None else e.tensor.grad
             for e in self.registry
         }
-        return float(loss.data), grads
+        return float(loss.data), grads, logits.data
 
     def predict(self, x, chunk=2048):
         """Argmax class indices; ties resolve to the smallest class index."""
@@ -214,13 +218,13 @@ def build_model(spec, seed):
     for layer, (cout, k, _, _) in enumerate(spec.conv_stack):
         fan_in = cin * k * k
         w = T.tensor_randn((cout, cin, k, k), (seed, layer), math.sqrt(2.0 / fan_in))
-        reg.add(f"conv{layer}_w", w, True, layer)
-        reg.add(f"conv{layer}_b", T.Tensor(np.zeros(cout)), False, layer)
+        reg.add(f"conv{layer}_w", w, True)
+        reg.add(f"conv{layer}_b", T.Tensor(np.zeros(cout)), False)
         cin = cout
     sizes = spec.dense_sizes()
     for i in range(len(sizes) - 1):
         layer = len(spec.conv_stack) + i
         w, b = _dense_init(sizes[i], sizes[i + 1], (seed, layer))
-        reg.add(f"fc{i}_w", w, True, layer)
-        reg.add(f"fc{i}_b", b, False, layer)
+        reg.add(f"fc{i}_w", w, True)
+        reg.add(f"fc{i}_b", b, False)
     return Model(spec, reg)

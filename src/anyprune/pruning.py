@@ -1,8 +1,9 @@
 """Saliency scoring and progressive global pruning.
 
-Masks are per-prunable-tensor 0/1 arrays keyed by registry name. Pruning only
-ever refines an existing mask: positions scored ``-inf`` (already pruned) can
-never re-enter, and :func:`prune_global` keeps exactly the requested number of
+Masks are per-prunable-tensor 0/1 arrays keyed by registry name. Scorers rate
+every position from the weights and a batch gradient alone; pruning only ever
+refines an existing mask, because :func:`prune_global` ignores the scores of
+positions the mask already prunes. It keeps exactly the requested number of
 highest-scoring positions across all prunable tensors jointly, breaking ties
 toward the smaller global flat index (registry order, then row-major offset).
 """
@@ -33,13 +34,6 @@ class SparsityMask:
     @classmethod
     def full(cls, model):
         return cls({e.name: np.ones(e.tensor.shape) for e in model.registry.prunable()})
-
-    @property
-    def total(self):
-        return sum(a.size for a in self.arrays.values())
-
-    def copy(self):
-        return SparsityMask({name: a.copy() for name, a in self.arrays.items()})
 
     def support_subset_of(self, other):
         """True when every kept position here is also kept in ``other``."""
@@ -73,98 +67,65 @@ def keep_count(delta, total):
     return max(1, round_half_up(0.8 ** float(delta) * total))
 
 
-def _accumulated_mean_grads(model, x, y, batch_size=None):
-    """Gradient of the mean loss over all of (x, y), accumulated in chunks."""
-    n = x.shape[0]
-    if n == 0:
+def score_snip(model, x, y):
+    """Connection sensitivity |grad * weight| of the mean loss over (x, y)."""
+    if x.shape[0] == 0:
         raise DataError("scoring set is empty")
-    bs = n if batch_size is None else int(batch_size)
-    acc = None
-    for start in range(0, n, bs):
-        xb, yb = x[start : start + bs], y[start : start + bs]
-        _, grads = model.loss_and_grads(xb, yb)
-        w = xb.shape[0]
-        if acc is None:
-            acc = {name: g * w for name, g in grads.items()}
-        else:
-            for name, g in grads.items():
-                acc[name] += g * w
-    return {name: g / n for name, g in acc.items()}
+    _, grads, _ = model.loss_and_grads(x, y)
+    return {e.name: np.abs(grads[e.name] * e.tensor.data) for e in model.registry.prunable()}
 
 
-def score_snip(model, mask, x, y, batch_size=None):
-    """Connection sensitivity |grad * weight|; pruned positions score -inf."""
-    grads = _accumulated_mean_grads(model, x, y, batch_size)
-    scores = {}
-    for e in model.registry.prunable():
-        s = np.abs(grads[e.name] * e.tensor.data)
-        s[mask.arrays[e.name] == 0.0] = -np.inf
-        scores[e.name] = s
-    return scores
-
-
-def score_grasp(model, mask, x, y, batch_size=None):
-    """Gradient-flow saliency -w * (H g); pruned positions score +inf.
+def score_grasp(model, mask, x, y):
+    """Gradient-flow saliency -w * (H g) of the mean loss over (x, y).
 
     Smaller is better for keeping: callers selecting with a keep-largest rule
-    must negate. The direction vector is the accumulated loss gradient
-    restricted to the active mask support (pruned coordinates are frozen, so
-    perturbing them would leak signal through dead connections).
+    must negate. The direction vector is the loss gradient restricted to the
+    active mask support (pruned coordinates are frozen, so perturbing them
+    would leak signal through dead connections).
     """
-    grads = _accumulated_mean_grads(model, x, y, batch_size)
+    if x.shape[0] == 0:
+        raise DataError("scoring set is empty")
+    _, grads, _ = model.loss_and_grads(x, y)
     params = [e.tensor for e in model.registry]
-    v = []
-    for e in model.registry:
-        g = grads[e.name]
-        if e.prunable:
-            g = g * mask.arrays[e.name]
-        v.append(g)
+    v = [
+        grads[e.name] * mask.arrays[e.name] if e.prunable else grads[e.name]
+        for e in model.registry
+    ]
 
     def loss_fn(tape):
         return model.loss_on_tape(x, y, tape)
 
     hv = T.hvp_fd(loss_fn, params, v)
-    hv_by_name = {e.name: h for e, h in zip(model.registry, hv)}
     scores = {}
-    for e in model.registry.prunable():
-        s = -(e.tensor.data * hv_by_name[e.name])
-        if not np.all(np.isfinite(s)):
-            raise NumericError(f"non-finite GraSP scores for {e.name!r}")
-        s[mask.arrays[e.name] == 0.0] = np.inf
-        scores[e.name] = s
+    for e, h in zip(model.registry, hv):
+        if e.prunable:
+            s = -(e.tensor.data * h)
+            if not np.all(np.isfinite(s)):
+                raise NumericError(f"non-finite GraSP scores for {e.name!r}")
+            scores[e.name] = s
     return scores
 
 
-def score_magnitude(model, mask):
-    """|weight|; pruned positions score -inf."""
-    scores = {}
-    for e in model.registry.prunable():
-        s = np.abs(e.tensor.data)
-        s[mask.arrays[e.name] == 0.0] = -np.inf
-        scores[e.name] = s
-    return scores
+def score_magnitude(model):
+    """|weight|."""
+    return {e.name: np.abs(e.tensor.data) for e in model.registry.prunable()}
 
 
 def score_random(mask, seed):
-    """Seeded i.i.d. uniform(0,1) scores; pruned positions score -inf."""
+    """Seeded i.i.d. uniform(0,1) scores, one per mask position."""
     keys = seed if isinstance(seed, (tuple, list)) else (seed,)
     g = rng_from(STREAM_SCORE, *keys)
-    scores = {}
-    for name, m in mask.arrays.items():
-        s = g.random(m.shape)
-        s[m == 0.0] = -np.inf
-        scores[name] = s
-    return scores
+    return {name: g.random(m.shape) for name, m in mask.arrays.items()}
 
 
-def selection_scores(pruner, model, mask, x=None, y=None, seed=None, batch_size=None):
+def selection_scores(pruner, model, mask, x=None, y=None, seed=None):
     """Scores oriented so that prune_global's keep-largest rule applies."""
     if pruner == "snip":
-        return score_snip(model, mask, x, y, batch_size)
+        return score_snip(model, x, y)
     if pruner == "grasp":
-        return {name: -s for name, s in score_grasp(model, mask, x, y, batch_size=batch_size).items()}
+        return {name: -s for name, s in score_grasp(model, mask, x, y).items()}
     if pruner == "magnitude":
-        return score_magnitude(model, mask)
+        return score_magnitude(model)
     if pruner == "random":
         return score_random(mask, seed)
     raise ParameterError(f"unknown pruner {pruner!r}")
@@ -174,7 +135,8 @@ def prune_global(mask, scores, keep):
     """Refine ``mask`` to exactly ``keep`` kept positions, ranked globally.
 
     Keeps the highest-scoring currently-kept positions across all prunable
-    tensors jointly; equal scores keep the smaller global flat index.
+    tensors jointly; equal scores keep the smaller global flat index. Scores
+    at positions ``mask`` already prunes are ignored, so nothing re-enters.
     """
     if keep < 1:
         raise ParameterError(f"keep must be >= 1, got {keep}")
@@ -186,30 +148,32 @@ def prune_global(mask, scores, keep):
     missing = [n for n in names if n not in scores]
     if missing:
         raise ShapeError(f"scores missing for {missing}")
-    flats = []
+    # negated scores in global flat order: kept positions sort by score, all
+    # pruned ones (+inf) after them, and NaN last
+    neg = np.empty(sum(a.size for a in mask.arrays.values()))
+    offset = 0
     for name in names:
+        m = mask.arrays[name]
         s = np.asarray(scores[name], dtype=np.float64)
-        if s.shape != mask.arrays[name].shape:
-            raise ShapeError(
-                f"score shape {s.shape} != mask shape {mask.arrays[name].shape} for {name!r}"
-            )
-        flats.append(s.ravel())
-    allscores = np.concatenate(flats) if flats else np.zeros(0)
-    if np.any(np.isnan(allscores)):
+        if s.shape != m.shape:
+            raise ShapeError(f"score shape {s.shape} != mask shape {m.shape} for {name!r}")
+        part = neg[offset : offset + m.size]
+        np.negative(s.ravel(), out=part)
+        np.minimum(part, np.finfo(np.float64).max, out=part)  # kept -inf: before pruned ones
+        part[m.ravel() == 0.0] = np.inf
+        offset += m.size
+    order = np.argsort(neg, kind="stable")
+    # the kept positions fill the first kept_count ranks unless one scored NaN
+    if neg[order[mask.kept_count - 1]] == np.inf:
         raise NumericError("scores contain NaN")
-    order = np.argsort(-allscores, kind="stable")
-    selected = order[:keep]
-    new_flat = np.zeros(allscores.shape[0])
-    new_flat[selected] = 1.0
+    new_flat = np.zeros(neg.shape[0])
+    new_flat[order[:keep]] = 1.0
 
     arrays = {}
     offset = 0
     for name in names:
         a = mask.arrays[name]
-        part = new_flat[offset : offset + a.size].reshape(a.shape)
-        if np.any((part == 1.0) & (a == 0.0)):
-            raise RefinementError(f"selection re-entered pruned positions in {name!r}")
-        arrays[name] = part
+        arrays[name] = new_flat[offset : offset + a.size].reshape(a.shape)
         offset += a.size
     return SparsityMask(arrays)
 

@@ -8,6 +8,7 @@ so that equivalent runs compare byte-equal on their summaries.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -88,21 +89,10 @@ def write_events_csv(log, path):
         writer.writerows(rows)
 
 
-def summary_dict(summary):
-    """The deterministic, variant-neutral payload written to summary.json."""
-    return {
-        "final_test_accuracy_pct": summary.final_test_accuracy_pct,
-        "cer": summary.cer,
-        "final_generalization_gap_pp": summary.final_generalization_gap_pp,
-        "kept_count_trajectory": list(summary.kept_count_trajectory),
-        "megabatch_errors": list(summary.megabatch_errors),
-        "test_set_size": summary.test_set_size,
-    }
-
-
 def write_summary_json(summary, path):
+    """The deterministic, variant-neutral RunSummary fields, as JSON."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(summary_dict(summary), f, indent=2)
+        json.dump(dataclasses.asdict(summary), f, indent=2)
         f.write("\n")
 
 

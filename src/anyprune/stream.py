@@ -43,9 +43,8 @@ class TrainView:
     train_idx: np.ndarray
     val_idx: np.ndarray
 
-    def train_xy(self, order=None):
-        idx = self.train_idx if order is None else order
-        return self.dataset.x[idx], self.dataset.y[idx]
+    def train_xy(self, order):
+        return self.dataset.x[order], self.dataset.y[order]
 
     def val_xy(self):
         return self.dataset.x[self.val_idx], self.dataset.y[self.val_idx]

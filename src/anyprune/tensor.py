@@ -39,9 +39,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def copy(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.data.shape)})"
 

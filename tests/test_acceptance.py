@@ -41,7 +41,7 @@ def _gradcheck_max_rel_err(seed, h=1e-6):
     model = build_model(mlp_spec(5, (8,), 3), seed=seed)  # 75 params
     x = rng.standard_normal((4, 5))
     y = rng.integers(0, 3, 4)
-    _, grads = model.loss_and_grads(x, y)
+    _, grads, _ = model.loss_and_grads(x, y)
     worst = 0.0
     for entry in model.registry:
         flat = entry.tensor.data.ravel()
@@ -49,9 +49,9 @@ def _gradcheck_max_rel_err(seed, h=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _ = model.loss_and_grads(x, y)
+            lp, _, _ = model.loss_and_grads(x, y)
             flat[i] = orig - h
-            lm, _ = model.loss_and_grads(x, y)
+            lm, _, _ = model.loss_and_grads(x, y)
             flat[i] = orig
             gn = (lp - lm) / (2.0 * h)
             worst = max(worst, abs(ga[i] - gn) / max(1.0, abs(ga[i]), abs(gn)))

@@ -1,5 +1,6 @@
 """Config parsing, dataset ingestion, serialization, and the CLI surface."""
 
+import dataclasses
 import json
 import pathlib
 import struct
@@ -26,7 +27,6 @@ from anyprune.optim import OptimState, sgd_momentum_step
 from anyprune.reporting import (
     CURVES_COLUMNS,
     read_summary_json,
-    summary_dict,
     write_run_dir,
     write_summary_json,
 )
@@ -118,6 +118,68 @@ class TestParseConfig:
         assert parse_config(p).tau == 4.5
         assert parse_config(str(p)).tau == 4.5
 
+    def test_path_with_equals_sign_is_a_path(self, tmp_path):
+        p = tmp_path / "a=b.cfg"
+        p.write_text(MINIMAL)
+        assert parse_config(str(p)).tau == 4.5
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_config(str(tmp_path / "x=y.cfg"))
+
+
+SPIRALS = "variant = baseline\nmegabatches = 2\ndataset = synthetic_spirals\n"
+CSV = (
+    "variant = baseline\nmegabatches = 2\ndataset = csv\n"
+    "csv_path = data.csv\ncsv_label_column = label\n"
+)
+CONVNET = MINIMAL + "model = convnet\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    (MINIMAL.replace("app_default", "app_sometimes"), "variant"),
+    (MINIMAL + "replay = sometimes\n", "replay"),
+    (MINIMAL + "lr_mode = linear\n", "lr_mode"),
+    (MINIMAL + "model = resnet\n", "model"),
+    (MINIMAL.replace("synthetic_blobs", "imagenet"), "dataset"),
+    (MINIMAL.replace("pruner = snip", "pruner = optimal"), "pruner"),
+    (MINIMAL.replace("4.5", "0.5"), "tau"),
+    (MINIMAL + "pi_fraction = 0\n", "pi_fraction"),
+    (
+        "variant = app_noreplay_snip\npruner = magnitude\ntau = 2\n"
+        "megabatches = 2\ndataset = synthetic_blobs\n",
+        "pruner",
+    ),
+    (MINIMAL.replace("megabatches = 8", "megabatches = 0"), "megabatches"),
+    (MINIMAL + "epochs = 0\n", "epochs"),
+    (MINIMAL + "warmup_epochs = 0\n", "warmup_epochs"),
+    (MINIMAL + "minibatch = 0\n", "minibatch"),
+    (MINIMAL + "val_fraction = 1.0\n", "val_fraction"),
+    (MINIMAL + "lr0 = 0\n", "lr0"),
+    (MINIMAL + "lr_gamma = 0\n", "lr_gamma"),
+    (MINIMAL + "post_m1_lr = 0\n", "post_m1_lr"),
+    (MINIMAL + "momentum = 1.0\n", "momentum"),
+    (MINIMAL + "weight_decay = -0.1\n", "weight_decay"),
+    (MINIMAL + "mlp_hidden = 8,0\n", "mlp_hidden"),
+    (CONVNET + "conv_channels = 4,0\n", "conv_channels"),
+    (CONVNET + "head_hidden = 0\n", "head_hidden"),
+    (CONVNET + "conv_kernel = 0\n", "conv_kernel"),
+    (CONVNET + "conv_stride = 0\n", "conv_stride"),
+    (CONVNET + "conv_padding = -1\n", "conv_padding"),
+    (MINIMAL + "per_class_cap = 0\n", "per_class_cap"),
+    (CSV + "test_fraction = 1.0\n", "test_fraction"),
+    (MINIMAL + "blob_classes = 1\n", "blob_classes"),
+    (MINIMAL + "blob_per_class = 0\n", "blob_per_class"),
+    (MINIMAL + "blob_dim = 0\n", "blob_dim"),
+    (MINIMAL + "blob_noise = -1\n", "blob_noise"),
+    (SPIRALS + "spiral_classes = 1\n", "spiral_classes"),
+    (SPIRALS + "spiral_per_class = 0\n", "spiral_per_class"),
+    (SPIRALS + "spiral_noise = -1\n", "spiral_noise"),
+    (MINIMAL + "test_per_class = 0\n", "test_per_class"),
+])
+def test_out_of_range_value_rejected_naming_its_key(text, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.field == key
+
 
 class TestIdx:
     def test_hand_crafted_pair(self, tmp_path):
@@ -185,7 +247,7 @@ class TestSynthetic:
         state = OptimState(model.params(), lr=0.5, momentum=0.9)
         params = model.params()
         for _ in range(200):
-            _, grads = model.loss_and_grads(ds.x, ds.y)
+            _, grads, _ = model.loss_and_grads(ds.x, ds.y)
             sgd_momentum_step(params, grads, state)
         acc = float((model.predict(ds.x) == ds.y).mean())
         assert acc >= 0.99
@@ -256,7 +318,7 @@ class TestReporting:
         summary = summarize(log)
         path = tmp_path / "s.json"
         write_summary_json(summary, path)
-        assert read_summary_json(path) == summary_dict(summary)
+        assert read_summary_json(path) == dataclasses.asdict(summary)
 
     def test_reserialization_is_byte_identical(self, small_run_dir, tmp_path):
         outdir, log = small_run_dir
@@ -298,6 +360,12 @@ class TestCli:
         bad.write_text("variant = nope\nmegabatches = 2\ndataset = synthetic_blobs\n")
         assert main(["run", str(bad)]) == 1
 
+    def test_bad_conv_value_exits_1_naming_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(CONVNET + "conv_stride = 0\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "config error: conv_stride: must be >= 1" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "missing.cfg"
         cfg.write_text(
@@ -333,6 +401,25 @@ class TestCli:
         (out / "one" / "cer.svg").unlink()
         assert main(["plot", str(out / "one")]) == 0
         assert (out / "one" / "cer.svg").read_bytes() == before
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_sweep_runs_every_config_and_reports_each(self, tmp_path, capsys, parallel):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        text = (pathlib.Path(__file__).parents[1] / "configs" / "baseline_blobs.cfg").read_text()
+        (cfg_dir / "a_diverge.cfg").write_text(text + "lr0 = 1e6\n")
+        (cfg_dir / "b_small.cfg").write_text(SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", parallel]) == 2
+        assert not (out / "a_diverge").exists()
+        assert (out / "b_small" / "summary.json").exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == [
+            "sweep: 1 of 2 configs finished",
+            f"failed  {cfg_dir / 'a_diverge.cfg'}: training loss is nan at megabatch 1, "
+            "epoch 3, global_iter 10",
+            f"ok      {cfg_dir / 'b_small.cfg'} -> {out / 'b_small'}",
+        ]
 
     def test_sweep_parallel(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"

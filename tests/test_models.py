@@ -90,6 +90,19 @@ def test_all_ones_mask_preserves_logits():
     np.testing.assert_array_equal(model.forward(x).data, want)
 
 
+def test_loss_and_grads_returns_loss_grads_and_forward_logits():
+    model = build_model(convnet_spec((1, 8, 8), (3,), 3, 1, 1, (), 4), seed=1)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((5, 1, 8, 8))
+    y = rng.integers(0, 4, 5)
+    loss, grads, logits = model.loss_and_grads(x, y)
+    np.testing.assert_array_equal(logits, model.forward(x).data)
+    assert loss == float(model.loss_on_tape(x, y).data)
+    assert list(grads) == [e.name for e in model.registry]
+    for e in model.registry:
+        assert grads[e.name].shape == e.tensor.shape
+
+
 def test_convnet_registry_and_forward():
     spec = convnet_spec((1, 8, 8), (4, 6), 3, 1, 1, (10,), 3)
     model = build_model(spec, seed=0)

@@ -13,7 +13,11 @@ PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples
 
 @st.composite
 def masks_and_scores(draw):
-    """A mask over 1-3 tensors, tie-heavy scores (-inf where pruned), a keep count."""
+    """A mask over 1-3 tensors, scores and a keep count.
+
+    Kept positions get tie-heavy scores, infinities included; pruned ones get
+    any float at all, often one that would outrank every kept score.
+    """
     shapes = draw(st.lists(
         st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple), min_size=1, max_size=3,
     ))
@@ -21,8 +25,14 @@ def masks_and_scores(draw):
     for i, shape in enumerate(shapes):
         size = int(np.prod(shape))
         m = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size)))
-        s = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)), dtype=float)
-        s[m == 0.0] = -np.inf
+        kept = draw(st.lists(
+            st.one_of(st.integers(0, 3).map(float), st.sampled_from([-np.inf, np.inf])),
+            min_size=size, max_size=size,
+        ))
+        pruned = draw(st.lists(
+            st.one_of(st.integers(0, 4).map(float), st.floats()), min_size=size, max_size=size,
+        ))
+        s = np.where(m == 1.0, np.array(kept), np.array(pruned))
         masks[f"w{i}"] = m.reshape(shape)
         scores[f"w{i}"] = s.reshape(shape)
     mask = SparsityMask(masks)
@@ -47,7 +57,8 @@ class TestPruneGlobal:
     def test_ties_keep_the_smaller_global_flat_index(self, case):
         mask, scores, keep = case
         flat = np.concatenate([scores[name].ravel() for name in mask.arrays])
-        ranked = sorted(range(flat.size), key=lambda i: (-flat[i], i))
+        kept = np.flatnonzero(np.concatenate([a.ravel() for a in mask.arrays.values()]))
+        ranked = sorted(kept, key=lambda i: (-flat[i], i))
         want = np.zeros(flat.size)
         want[ranked[:keep]] = 1.0
         new = prune_global(mask, scores, keep)

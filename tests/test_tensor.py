@@ -138,7 +138,7 @@ def _mlp_gradcheck_max_rel_err(seed, hidden=(8,), d=5, c=3, batch=4, h=1e-6):
     model = build_model(mlp_spec(d, hidden, c), seed=seed)
     x = rng.standard_normal((batch, d))
     y = rng.integers(0, c, batch)
-    _, grads = model.loss_and_grads(x, y)
+    _, grads, _ = model.loss_and_grads(x, y)
     worst = 0.0
     for entry in model.registry:
         flat = entry.tensor.data.ravel()
@@ -146,9 +146,9 @@ def _mlp_gradcheck_max_rel_err(seed, hidden=(8,), d=5, c=3, batch=4, h=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _ = model.loss_and_grads(x, y)
+            lp, _, _ = model.loss_and_grads(x, y)
             flat[i] = orig - h
-            lm, _ = model.loss_and_grads(x, y)
+            lm, _, _ = model.loss_and_grads(x, y)
             flat[i] = orig
             gn = (lp - lm) / (2.0 * h)
             worst = max(worst, abs(ga[i] - gn) / max(1.0, abs(ga[i]), abs(gn)))
