@@ -68,7 +68,7 @@ def _cmd_sweep(args):
     failed = sum(e is not None for e in errors)
     print(f"sweep: {len(jobs) - failed} of {len(jobs)} configs finished")
     for (path, _, outdir), error in zip(jobs, errors):
-        print(f"failed  {path}: {error}" if error else f"ok      {path} -> {outdir}")
+        print(f"failed  {path}: {error}" if error is not None else f"ok      {path} -> {outdir}")
     return 2 if failed else 0
 
 

@@ -69,8 +69,6 @@ def keep_count(delta, total):
 
 def score_snip(model, x, y):
     """Connection sensitivity |grad * weight| of the mean loss over (x, y)."""
-    if x.shape[0] == 0:
-        raise DataError("scoring set is empty")
     _, grads, _ = model.loss_and_grads(x, y)
     return {e.name: np.abs(grads[e.name] * e.tensor.data) for e in model.registry.prunable()}
 
@@ -83,8 +81,6 @@ def score_grasp(model, mask, x, y):
     active mask support (pruned coordinates are frozen, so perturbing them
     would leak signal through dead connections).
     """
-    if x.shape[0] == 0:
-        raise DataError("scoring set is empty")
     _, grads, _ = model.loss_and_grads(x, y)
     params = [e.tensor for e in model.registry]
     v = [
@@ -120,6 +116,8 @@ def score_random(mask, seed):
 
 def selection_scores(pruner, model, mask, x=None, y=None, seed=None):
     """Scores oriented so that prune_global's keep-largest rule applies."""
+    if pruner in ("snip", "grasp") and x.shape[0] == 0:
+        raise DataError("scoring set is empty")
     if pruner == "snip":
         return score_snip(model, x, y)
     if pruner == "grasp":
@@ -148,8 +146,8 @@ def prune_global(mask, scores, keep):
     missing = [n for n in names if n not in scores]
     if missing:
         raise ShapeError(f"scores missing for {missing}")
-    # negated scores in global flat order: kept positions sort by score, all
-    # pruned ones (+inf) after them, and NaN last
+    # negated scores in global flat order: kept positions sort by score and
+    # all pruned ones (+inf) after them
     neg = np.empty(sum(a.size for a in mask.arrays.values()))
     offset = 0
     for name in names:
@@ -161,11 +159,10 @@ def prune_global(mask, scores, keep):
         np.negative(s.ravel(), out=part)
         np.minimum(part, np.finfo(np.float64).max, out=part)  # kept -inf: before pruned ones
         part[m.ravel() == 0.0] = np.inf
+        if np.isnan(part).any():
+            raise NumericError(f"NaN score at a kept position of {name!r}")
         offset += m.size
     order = np.argsort(neg, kind="stable")
-    # the kept positions fill the first kept_count ranks unless one scored NaN
-    if neg[order[mask.kept_count - 1]] == np.inf:
-        raise NumericError("scores contain NaN")
     new_flat = np.zeros(neg.shape[0])
     new_flat[order[:keep]] = 1.0
 

@@ -421,6 +421,23 @@ class TestCli:
             f"ok      {cfg_dir / 'b_small.cfg'} -> {out / 'b_small'}",
         ]
 
+    def test_sweep_reports_an_error_with_an_empty_message_as_failed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a.cfg").write_text(SMALL_RUN)
+
+        def fail(config, outdir):
+            raise OSError()
+
+        monkeypatch.setattr("anyprune.cli._execute", fail)
+        assert main(["sweep", str(cfg_dir), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "sweep: 0 of 1 configs finished",
+            f"failed  {cfg_dir / 'a.cfg'}: ",
+        ]
+
     def test_sweep_parallel(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"
         cfg_dir.mkdir()

@@ -1,10 +1,12 @@
 """Property tests: global pruning, keep counts, delta schedules, config echo."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyprune.config import DATASETS, MODELS, PRUNERS, VARIANTS, parse_config, resolved_text
+from anyprune.errors import NumericError
 from anyprune.pruning import SparsityMask, keep_count, make_delta_schedule, prune_global
 
 # the same examples on every run, and no example database left on disk
@@ -12,12 +14,16 @@ PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples
 
 
 @st.composite
-def masks_and_scores(draw):
+def masks_and_scores(draw, kept_nans=False):
     """A mask over 1-3 tensors, scores and a keep count.
 
-    Kept positions get tie-heavy scores, infinities included; pruned ones get
-    any float at all, often one that would outrank every kept score.
+    Kept positions get tie-heavy scores, infinities included, and with
+    ``kept_nans`` at least one NaN; pruned ones get any float at all, often
+    one that would outrank every kept score.
     """
+    kept_values = st.one_of(st.integers(0, 3).map(float), st.sampled_from([-np.inf, np.inf]))
+    if kept_nans:
+        kept_values = st.one_of(kept_values, st.just(np.nan))
     shapes = draw(st.lists(
         st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple), min_size=1, max_size=3,
     ))
@@ -25,10 +31,7 @@ def masks_and_scores(draw):
     for i, shape in enumerate(shapes):
         size = int(np.prod(shape))
         m = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size)))
-        kept = draw(st.lists(
-            st.one_of(st.integers(0, 3).map(float), st.sampled_from([-np.inf, np.inf])),
-            min_size=size, max_size=size,
-        ))
+        kept = draw(st.lists(kept_values, min_size=size, max_size=size))
         pruned = draw(st.lists(
             st.one_of(st.integers(0, 4).map(float), st.floats()), min_size=size, max_size=size,
         ))
@@ -40,6 +43,9 @@ def masks_and_scores(draw):
         masks["w0"].flat[0] = 1.0
         scores["w0"].flat[0] = 0.0
         mask = SparsityMask(masks)
+    if kept_nans and not any(np.isnan(scores[n][a == 1.0]).any() for n, a in masks.items()):
+        name = next(n for n, a in masks.items() if a.any())
+        scores[name].flat[np.flatnonzero(masks[name])[0]] = np.nan
     return mask, scores, draw(st.integers(1, mask.kept_count))
 
 
@@ -64,6 +70,13 @@ class TestPruneGlobal:
         new = prune_global(mask, scores, keep)
         got = np.concatenate([a.ravel() for a in new.arrays.values()])
         np.testing.assert_array_equal(got, want)
+
+    @PROPERTY
+    @given(masks_and_scores(kept_nans=True))
+    def test_nan_at_a_kept_position_rejected(self, case):
+        mask, scores, keep = case
+        with pytest.raises(NumericError):
+            prune_global(mask, scores, keep)
 
 
 # 0.8**_HALF_DELTA == 0.5, so an odd total puts the product exactly on a half

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from anyprune.errors import NumericError, ParameterError, RefinementError
+from anyprune.errors import DataError, NumericError, ParameterError, RefinementError
 from anyprune.models import ParamRegistry, build_model, mlp_spec
 from anyprune.pruning import (
     SparsityMask,
@@ -107,8 +107,10 @@ class TestSnip:
 
     def test_empty_pi_rejected(self):
         model = _LinearSquaredModel([1.0])
-        with pytest.raises(Exception):
-            score_snip(model, np.zeros((0, 1)), np.zeros(0))
+        mask = SparsityMask({"w": np.ones(1)})
+        for pruner in ("snip", "grasp"):
+            with pytest.raises(DataError, match="scoring set is empty"):
+                selection_scores(pruner, model, mask, np.zeros((0, 1)), np.zeros(0))
 
 
 class _QuadraticModel:
@@ -228,6 +230,16 @@ class TestPruneGlobal:
         mask = SparsityMask({"w": np.array([1.0, 0.0, 1.0])})
         with pytest.raises(NumericError):
             prune_global(mask, {"w": np.array([1.0, 2.0, np.nan])}, keep=1)
+
+    def test_nan_on_a_full_mask_rejected(self):
+        mask = SparsityMask({"w": np.ones(3)})
+        with pytest.raises(NumericError):
+            prune_global(mask, {"w": np.array([1.0, np.nan, 2.0])}, keep=2)
+
+    def test_kept_nans_outnumbering_pruned_positions_rejected(self):
+        mask = SparsityMask({"w": np.array([1.0, 1.0, 1.0, 0.0])})
+        with pytest.raises(NumericError):
+            prune_global(mask, {"w": np.array([np.nan, np.nan, 1.0, 5.0])}, keep=2)
 
     def test_tie_break_exhaustive_small_vectors(self):
         # every 0/1/2-valued score vector of length <= 8, every keep count
