@@ -8,7 +8,7 @@ alone; the echo's sha256 is the config hash.
 """
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -25,55 +25,6 @@ REPLAY_MODES = ("full", "none")
 LR_MODES = ("multistep_m1_only", "cyclic_every_mt")
 MODELS = ("mlp", "convnet")
 DATASETS = ("idx", "csv", "synthetic_blobs", "synthetic_spirals")
-
-
-@dataclass
-class RunConfig:
-    variant: str
-    pruner: str | None
-    tau: float | None
-    megabatches: int
-    replay: str
-    epochs: int
-    warmup_epochs: int
-    lr_mode: str
-    lr0: float
-    lr_gamma: float
-    post_m1_lr: float
-    momentum: float
-    weight_decay: float
-    minibatch: int
-    pi_fraction: float | None
-    val_fraction: float
-    model: str
-    mlp_hidden: tuple | None
-    conv_channels: tuple | None
-    conv_kernel: int | None
-    conv_stride: int | None
-    conv_padding: int | None
-    head_hidden: tuple | None
-    dataset: str
-    per_class_cap: int | None
-    idx_train_images: str | None
-    idx_train_labels: str | None
-    idx_test_images: str | None
-    idx_test_labels: str | None
-    csv_path: str | None
-    csv_label_column: str | None
-    test_fraction: float | None
-    blob_classes: int | None
-    blob_per_class: int | None
-    blob_dim: int | None
-    blob_noise: float | None
-    spiral_classes: int | None
-    spiral_per_class: int | None
-    spiral_noise: float | None
-    test_per_class: int | None
-    seed: int
-    seed_partition: int
-    seed_init: int
-    seed_pruning: int
-    seed_shuffle: int
 
 
 _REQUIRED = object()
@@ -108,67 +59,84 @@ def _is_pruned(r):
     return r["variant"] != "baseline"
 
 
+def _when(key, *values):
+    return lambda r: r[key] in values
+
+
+def _from_seed(r):
+    return r["seed"]
+
+
 def _default_test_per_class(r):
     per_class = r["blob_per_class"] if r["dataset"] == "synthetic_blobs" else r["spiral_per_class"]
     return max(1, per_class // 5)
 
 
-# (name, parser, default, applicability). A callable default resolves against
-# the partially-resolved config; None-applicability means "always".
-_FIELDS = (
-    ("variant", _parse_str, _REQUIRED, None),
-    ("pruner", _parse_str, lambda r: "snip" if r["variant"] == "app_noreplay_snip" else _REQUIRED, _is_pruned),
-    ("tau", _parse_float, _REQUIRED, _is_pruned),
-    ("megabatches", _parse_int, _REQUIRED, None),
-    ("replay", _parse_str, "full", None),
-    ("epochs", _parse_int, 30, None),
-    ("warmup_epochs", _parse_int, 20, None),
-    ("lr_mode", _parse_str, "multistep_m1_only", None),
-    ("lr0", _parse_float, 0.1, None),
-    ("lr_gamma", _parse_float, 0.1, None),
-    ("post_m1_lr", _parse_float, 0.001, None),
-    ("momentum", _parse_float, 0.9, None),
-    ("weight_decay", _parse_float, 0.0, None),
-    ("minibatch", _parse_int, 32, None),
-    ("pi_fraction", _parse_float, 0.2, _is_pruned),
-    ("val_fraction", _parse_float, 0.1, None),
-    ("model", _parse_str, "mlp", None),
-    ("mlp_hidden", _parse_int_list, (256, 128), lambda r: r["model"] == "mlp"),
-    ("conv_channels", _parse_int_list, (8, 16), lambda r: r["model"] == "convnet"),
-    ("conv_kernel", _parse_int, 3, lambda r: r["model"] == "convnet"),
-    ("conv_stride", _parse_int, 1, lambda r: r["model"] == "convnet"),
-    ("conv_padding", _parse_int, 1, lambda r: r["model"] == "convnet"),
-    ("head_hidden", _parse_int_list, (), lambda r: r["model"] == "convnet"),
-    ("dataset", _parse_str, _REQUIRED, None),
-    ("per_class_cap", _parse_int, None, None),
-    ("idx_train_images", _parse_str, _REQUIRED, lambda r: r["dataset"] == "idx"),
-    ("idx_train_labels", _parse_str, _REQUIRED, lambda r: r["dataset"] == "idx"),
-    ("idx_test_images", _parse_str, _REQUIRED, lambda r: r["dataset"] == "idx"),
-    ("idx_test_labels", _parse_str, _REQUIRED, lambda r: r["dataset"] == "idx"),
-    ("csv_path", _parse_str, _REQUIRED, lambda r: r["dataset"] == "csv"),
-    ("csv_label_column", _parse_str, _REQUIRED, lambda r: r["dataset"] == "csv"),
-    ("test_fraction", _parse_float, 0.2, lambda r: r["dataset"] == "csv"),
-    ("blob_classes", _parse_int, 5, lambda r: r["dataset"] == "synthetic_blobs"),
-    ("blob_per_class", _parse_int, 200, lambda r: r["dataset"] == "synthetic_blobs"),
-    ("blob_dim", _parse_int, 16, lambda r: r["dataset"] == "synthetic_blobs"),
-    ("blob_noise", _parse_float, 0.5, lambda r: r["dataset"] == "synthetic_blobs"),
-    ("spiral_classes", _parse_int, 3, lambda r: r["dataset"] == "synthetic_spirals"),
-    ("spiral_per_class", _parse_int, 200, lambda r: r["dataset"] == "synthetic_spirals"),
-    ("spiral_noise", _parse_float, 0.1, lambda r: r["dataset"] == "synthetic_spirals"),
-    (
-        "test_per_class",
-        _parse_int,
-        _default_test_per_class,
-        lambda r: r["dataset"] in ("synthetic_blobs", "synthetic_spirals"),
-    ),
-    ("seed", _parse_int, 0, None),
-    ("seed_partition", _parse_int, lambda r: r["seed"], None),
-    ("seed_init", _parse_int, lambda r: r["seed"], None),
-    ("seed_pruning", _parse_int, lambda r: r["seed"], None),
-    ("seed_shuffle", _parse_int, lambda r: r["seed"], None),
-)
+def _key(parser, default=_REQUIRED, applies=None):
+    """Declare a config key: its parser, default and applicability.
 
-_KNOWN_KEYS = {name for name, _, _, _ in _FIELDS}
+    A callable default resolves against the partially-resolved config (the
+    keys declared before it); ``applies`` None means "always".
+    """
+    return field(metadata={"parser": parser, "default": default, "applies": applies})
+
+
+@dataclass
+class RunConfig:
+    """A resolved config; field order is the echo order, so the hash depends on it."""
+
+    variant: str = _key(_parse_str)
+    pruner: str | None = _key(
+        _parse_str, lambda r: "snip" if r["variant"] == "app_noreplay_snip" else _REQUIRED, _is_pruned
+    )
+    tau: float | None = _key(_parse_float, applies=_is_pruned)
+    megabatches: int = _key(_parse_int)
+    replay: str = _key(_parse_str, "full")
+    epochs: int = _key(_parse_int, 30)
+    warmup_epochs: int = _key(_parse_int, 20)
+    lr_mode: str = _key(_parse_str, "multistep_m1_only")
+    lr0: float = _key(_parse_float, 0.1)
+    lr_gamma: float = _key(_parse_float, 0.1)
+    post_m1_lr: float = _key(_parse_float, 0.001)
+    momentum: float = _key(_parse_float, 0.9)
+    weight_decay: float = _key(_parse_float, 0.0)
+    minibatch: int = _key(_parse_int, 32)
+    pi_fraction: float | None = _key(_parse_float, 0.2, _is_pruned)
+    val_fraction: float = _key(_parse_float, 0.1)
+    model: str = _key(_parse_str, "mlp")
+    mlp_hidden: tuple | None = _key(_parse_int_list, (256, 128), _when("model", "mlp"))
+    conv_channels: tuple | None = _key(_parse_int_list, (8, 16), _when("model", "convnet"))
+    conv_kernel: int | None = _key(_parse_int, 3, _when("model", "convnet"))
+    conv_stride: int | None = _key(_parse_int, 1, _when("model", "convnet"))
+    conv_padding: int | None = _key(_parse_int, 1, _when("model", "convnet"))
+    head_hidden: tuple | None = _key(_parse_int_list, (), _when("model", "convnet"))
+    dataset: str = _key(_parse_str)
+    per_class_cap: int | None = _key(_parse_int, None)
+    idx_train_images: str | None = _key(_parse_str, applies=_when("dataset", "idx"))
+    idx_train_labels: str | None = _key(_parse_str, applies=_when("dataset", "idx"))
+    idx_test_images: str | None = _key(_parse_str, applies=_when("dataset", "idx"))
+    idx_test_labels: str | None = _key(_parse_str, applies=_when("dataset", "idx"))
+    csv_path: str | None = _key(_parse_str, applies=_when("dataset", "csv"))
+    csv_label_column: str | None = _key(_parse_str, applies=_when("dataset", "csv"))
+    test_fraction: float | None = _key(_parse_float, 0.2, _when("dataset", "csv"))
+    blob_classes: int | None = _key(_parse_int, 5, _when("dataset", "synthetic_blobs"))
+    blob_per_class: int | None = _key(_parse_int, 200, _when("dataset", "synthetic_blobs"))
+    blob_dim: int | None = _key(_parse_int, 16, _when("dataset", "synthetic_blobs"))
+    blob_noise: float | None = _key(_parse_float, 0.5, _when("dataset", "synthetic_blobs"))
+    spiral_classes: int | None = _key(_parse_int, 3, _when("dataset", "synthetic_spirals"))
+    spiral_per_class: int | None = _key(_parse_int, 200, _when("dataset", "synthetic_spirals"))
+    spiral_noise: float | None = _key(_parse_float, 0.1, _when("dataset", "synthetic_spirals"))
+    test_per_class: int | None = _key(
+        _parse_int, _default_test_per_class, _when("dataset", "synthetic_blobs", "synthetic_spirals")
+    )
+    seed: int = _key(_parse_int, 0)
+    seed_partition: int = _key(_parse_int, _from_seed)
+    seed_init: int = _key(_parse_int, _from_seed)
+    seed_pruning: int = _key(_parse_int, _from_seed)
+    seed_shuffle: int = _key(_parse_int, _from_seed)
+
+
+_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _read_pairs(text):
@@ -193,11 +161,8 @@ def _validate(cfg):
         if not cond:
             raise ConfigError(message, field)
 
-    check(cfg.variant in VARIANTS, "variant", f"must be one of {VARIANTS}, got {cfg.variant!r}")
     check(cfg.replay in REPLAY_MODES, "replay", f"must be one of {REPLAY_MODES}")
     check(cfg.lr_mode in LR_MODES, "lr_mode", f"must be one of {LR_MODES}")
-    check(cfg.model in MODELS, "model", f"must be one of {MODELS}")
-    check(cfg.dataset in DATASETS, "dataset", f"must be one of {DATASETS}")
     if cfg.variant != "baseline":
         check(cfg.pruner in PRUNERS, "pruner", f"must be one of {PRUNERS}, got {cfg.pruner!r}")
         check(cfg.tau >= 1.0, "tau", f"must be >= 1, got {cfg.tau}")
@@ -219,6 +184,7 @@ def _validate(cfg):
         if sizes is not None:
             check(all(v >= 1 for v in sizes), key, f"every entry must be >= 1, got {sizes}")
     if cfg.model == "convnet":
+        check(len(cfg.conv_channels) >= 1, "conv_channels", "needs at least one conv layer")
         check(cfg.conv_kernel >= 1, "conv_kernel", "must be >= 1")
         check(cfg.conv_stride >= 1, "conv_stride", "must be >= 1")
         check(cfg.conv_padding >= 0, "conv_padding", "must be >= 0")
@@ -265,8 +231,9 @@ def parse_config(source, seed_override=None):
             raise ConfigError(f"must be one of {allowed}, got {pairs[key]!r}", key)
 
     resolved = {}
-    for name, parser, default, applies in _FIELDS:
-        applicable = applies is None or applies(resolved)
+    for f in fields(RunConfig):
+        name, meta = f.name, f.metadata
+        applicable = meta["applies"] is None or meta["applies"](resolved)
         if not applicable:
             if name in pairs:
                 raise ConfigError(
@@ -277,8 +244,9 @@ def parse_config(source, seed_override=None):
             resolved[name] = None
             continue
         if name in pairs:
-            resolved[name] = parser(pairs[name], name)
+            resolved[name] = meta["parser"](pairs[name], name)
         else:
+            default = meta["default"]
             value = default(resolved) if callable(default) else default
             if value is _REQUIRED:
                 raise ConfigError("required key is missing", name)

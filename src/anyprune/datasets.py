@@ -65,14 +65,12 @@ def _blob_draw(class_count, per_class, dim, noise_sigma, stream, seed):
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def gen_blobs(class_count, per_class, dim, noise_sigma, seed, test_per_class=None):
+def gen_blobs(class_count, per_class, dim, noise_sigma, seed, test_per_class):
     """Isotropic Gaussian blobs around fixed per-class centers."""
     if class_count < 2:
         raise DataError(f"need at least 2 classes, got {class_count}")
     if per_class < 1:
         raise DataError(f"per_class must be >= 1, got {per_class}")
-    if test_per_class is None:
-        test_per_class = max(1, per_class // 5)
     x, y = _blob_draw(class_count, per_class, dim, noise_sigma, STREAM_BLOBS, seed)
     xt, yt = _blob_draw(class_count, test_per_class, dim, noise_sigma, STREAM_BLOBS, seed + 1)
     return Dataset(x, y, xt, yt, input_shape=(dim,), class_count=class_count)
@@ -92,14 +90,12 @@ def _spiral_draw(class_count, per_class, noise_sigma, stream, seed):
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def gen_spirals(class_count, per_class, noise_sigma, seed, test_per_class=None):
+def gen_spirals(class_count, per_class, noise_sigma, seed, test_per_class):
     """Interleaved planar spirals, one arm per class."""
     if class_count < 2:
         raise DataError(f"need at least 2 classes, got {class_count}")
     if per_class < 1:
         raise DataError(f"per_class must be >= 1, got {per_class}")
-    if test_per_class is None:
-        test_per_class = max(1, per_class // 5)
     x, y = _spiral_draw(class_count, per_class, noise_sigma, STREAM_SPIRALS, seed)
     xt, yt = _spiral_draw(class_count, test_per_class, noise_sigma, STREAM_SPIRALS, seed + 1)
     return Dataset(x, y, xt, yt, input_shape=(2,), class_count=class_count)

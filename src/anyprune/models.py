@@ -166,11 +166,6 @@ class Model:
                 h = T.relu(h, tape)
         return h
 
-    def loss_on_tape(self, x, y, tape=None):
-        """Mean cross-entropy of the batch as a (possibly taped) scalar tensor."""
-        logits = self.forward(x, tape)
-        return T.softmax_cross_entropy(logits, y, tape)
-
     def loss_and_grads(self, x, y):
         """Mean cross-entropy over the batch, gradients per parameter, logits.
 

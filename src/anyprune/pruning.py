@@ -87,11 +87,7 @@ def score_grasp(model, mask, x, y):
         grads[e.name] * mask.arrays[e.name] if e.prunable else grads[e.name]
         for e in model.registry
     ]
-
-    def loss_fn(tape):
-        return model.loss_on_tape(x, y, tape)
-
-    hv = T.hvp_fd(loss_fn, params, v)
+    hv = T.hvp_fd(lambda: list(model.loss_and_grads(x, y)[1].values()), params, v)
     scores = {}
     for e, h in zip(model.registry, hv):
         if e.prunable:
@@ -108,9 +104,11 @@ def score_magnitude(model):
 
 
 def score_random(mask, seed):
-    """Seeded i.i.d. uniform(0,1) scores, one per mask position."""
-    keys = seed if isinstance(seed, (tuple, list)) else (seed,)
-    g = rng_from(STREAM_SCORE, *keys)
+    """Seeded i.i.d. uniform(0,1) scores, one per mask position.
+
+    ``seed`` is a tuple of integers, the derived key of the draw.
+    """
+    g = rng_from(STREAM_SCORE, *seed)
     return {name: g.random(m.shape) for name, m in mask.arrays.items()}
 
 

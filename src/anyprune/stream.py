@@ -115,14 +115,16 @@ def replay_view(stream, t, replay="full"):
     raise ParameterError(f"unknown replay mode {replay!r}")
 
 
-def draw_pi(view, fraction=0.2, seed=0):
-    """Seeded uniform subset of the view's train split, without replacement."""
+def draw_pi(view, fraction, seed):
+    """Seeded uniform subset of the view's train split, without replacement.
+
+    ``seed`` is a tuple of integers, the derived key of the draw.
+    """
     if not 0.0 < fraction <= 1.0:
         raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
     n = view.train_idx.size
     if n == 0:
         raise DataError("cannot draw a scoring subset from an empty view")
     size = round_half_up(fraction * n)
-    keys = seed if isinstance(seed, (tuple, list)) else (seed,)
-    perm = rng_from(STREAM_PI, *keys).permutation(view.train_idx)
+    perm = rng_from(STREAM_PI, *seed).permutation(view.train_idx)
     return perm[:size]

@@ -44,15 +44,14 @@ class Tensor:
 
 
 def tensor_randn(shape, seed, scale):
-    """Deterministic pseudo-normal tensor: mean 0, std ``scale``, keyed by seed.
+    """Deterministic pseudo-normal tensor: mean 0, std ``scale``.
 
-    ``seed`` may be a single integer or a sequence of integers (a derived key).
+    ``seed`` is a tuple of integers, the derived key of the draw.
     """
     dims = tuple(int(s) for s in shape)
     if len(dims) == 0 or any(s < 1 for s in dims):
         raise ShapeError(f"invalid shape {dims}")
-    keys = seed if isinstance(seed, (tuple, list)) else (seed,)
-    g = rng_from(*keys)
+    g = rng_from(*seed)
     return Tensor(g.standard_normal(dims) * float(scale))
 
 
@@ -207,30 +206,6 @@ def reshape(x, shape, tape=None):
     return out
 
 
-def mul(a, b, tape=None):
-    """Elementwise product of same-shape tensors (no broadcasting)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes disagree: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data)
-    if tape is not None:
-        def bwd(g):
-            return g * b.data, g * a.data
-
-        tape.record("mul", (a, b), out, bwd)
-    return out
-
-
-def scale(x, c, tape=None):
-    c = float(c)
-    out = Tensor(x.data * c)
-    if tape is not None:
-        def bwd(g):
-            return (g * c,)
-
-        tape.record("scale", (x,), out, bwd)
-    return out
-
-
 def sum_all(x, tape=None):
     out = Tensor(x.data.sum())
     if tape is not None:
@@ -279,12 +254,13 @@ def softmax_cross_entropy(logits, labels, tape=None):
 # Hessian-vector product via central differences of gradients
 
 
-def hvp_fd(loss_fn, params, v, eps=None):
+def hvp_fd(grad_fn, params, v, eps=None):
     """Approximate H @ v by central finite differences of the loss gradient.
 
-    ``loss_fn(tape)`` must rebuild the scalar loss on the given tape from the
-    *current* data of ``params``; ``v`` is a same-shaped list of arrays. The
-    parameter perturbations are undone bit-exactly before returning.
+    ``grad_fn()`` must return the loss gradients at the *current* data of
+    ``params`` as a list of arrays aligned with ``params``; ``v`` is a
+    same-shaped list of arrays. The parameter perturbations are undone
+    bit-exactly before returning, also when ``grad_fn`` raises.
     """
     if len(params) != len(v):
         raise ShapeError("params and v must align")
@@ -303,10 +279,7 @@ def hvp_fd(loss_fn, params, v, eps=None):
     def grads_at(sign):
         for p, base, d in zip(params, saved, v):
             p.data = base + sign * eps * np.asarray(d)
-        tape = Tape()
-        loss = loss_fn(tape)
-        tape.backward(loss)
-        return [np.zeros(p.shape) if p.grad is None else np.array(p.grad) for p in params]
+        return grad_fn()
 
     try:
         g_plus = grads_at(+1.0)

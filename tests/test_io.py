@@ -160,6 +160,7 @@ CONVNET = MINIMAL + "model = convnet\n"
     (MINIMAL + "weight_decay = -0.1\n", "weight_decay"),
     (MINIMAL + "mlp_hidden = 8,0\n", "mlp_hidden"),
     (CONVNET + "conv_channels = 4,0\n", "conv_channels"),
+    (CONVNET + "conv_channels =\n", "conv_channels"),
     (CONVNET + "head_hidden = 0\n", "head_hidden"),
     (CONVNET + "conv_kernel = 0\n", "conv_kernel"),
     (CONVNET + "conv_stride = 0\n", "conv_stride"),
@@ -235,14 +236,14 @@ class TestIdx:
 
 class TestSynthetic:
     def test_blobs_deterministic(self):
-        a = gen_blobs(2, 50, 2, 0.1, seed=0)
-        b = gen_blobs(2, 50, 2, 0.1, seed=0)
+        a = gen_blobs(2, 50, 2, 0.1, seed=0, test_per_class=10)
+        b = gen_blobs(2, 50, 2, 0.1, seed=0, test_per_class=10)
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.x_test, b.x_test)
 
     def test_blobs_linearly_separable_via_probe(self):
-        ds = gen_blobs(2, 50, 2, 0.1, seed=0)
+        ds = gen_blobs(2, 50, 2, 0.1, seed=0, test_per_class=10)
         model = build_model(mlp_spec(2, (), 2), seed=0)
         state = OptimState(model.params(), lr=0.5, momentum=0.9)
         params = model.params()
@@ -253,10 +254,10 @@ class TestSynthetic:
         assert acc >= 0.99
 
     def test_spirals_shapes_and_determinism(self):
-        a = gen_spirals(3, 40, 0.05, seed=2)
+        a = gen_spirals(3, 40, 0.05, seed=2, test_per_class=8)
         assert a.x.shape == (120, 2)
         assert a.class_count == 3
-        b = gen_spirals(3, 40, 0.05, seed=2)
+        b = gen_spirals(3, 40, 0.05, seed=2, test_per_class=8)
         np.testing.assert_array_equal(a.x, b.x)
 
 
@@ -365,6 +366,12 @@ class TestCli:
         cfg.write_text(CONVNET + "conv_stride = 0\n")
         assert main(["run", str(cfg)]) == 1
         assert "config error: conv_stride: must be >= 1" in capsys.readouterr().err
+
+    def test_empty_conv_channels_exits_1_naming_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(CONVNET + "conv_channels =\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "config error: conv_channels: needs at least one conv layer" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "missing.cfg"

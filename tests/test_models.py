@@ -12,6 +12,7 @@ from anyprune.models import (
     mlp_spec,
 )
 from anyprune.pruning import SparsityMask, apply_mask
+from anyprune.tensor import softmax_cross_entropy
 
 
 def test_registry_prunable_flags_and_counts():
@@ -97,7 +98,7 @@ def test_loss_and_grads_returns_loss_grads_and_forward_logits():
     y = rng.integers(0, 4, 5)
     loss, grads, logits = model.loss_and_grads(x, y)
     np.testing.assert_array_equal(logits, model.forward(x).data)
-    assert loss == float(model.loss_on_tape(x, y).data)
+    assert loss == float(softmax_cross_entropy(model.forward(x), y).data)
     assert list(grads) == [e.name for e in model.registry]
     for e in model.registry:
         assert grads[e.name].shape == e.tensor.shape

@@ -61,7 +61,7 @@ class TestBuildStream:
             np.testing.assert_array_equal(ma.val_idx, mb.val_idx)
 
     def test_test_pool_is_separate(self):
-        ds = gen_blobs(3, 40, 4, 0.3, seed=5)
+        ds = gen_blobs(3, 40, 4, 0.3, seed=5, test_per_class=8)
         stream = build_stream(ds, 2, seed=5)
         # stream indices address the train pool only; test set lives apart
         used = np.concatenate([np.concatenate([m.train_idx, m.val_idx]) for m in stream.megabatches])
@@ -106,21 +106,21 @@ class TestDrawPi:
     def test_size_at_first_megabatch(self):
         stream = build_stream(_toy_dataset(50000), 8, seed=1)
         view = replay_view(stream, 1, "full")
-        pi = draw_pi(view, 0.2, seed=0)
+        pi = draw_pi(view, 0.2, seed=(0,))
         assert view.train_idx.size == 5625
         assert pi.size == 1125
 
     def test_full_fraction_is_whole_train_split(self):
         stream = build_stream(_toy_dataset(100), 2, seed=0)
         view = replay_view(stream, 1, "full")
-        pi = draw_pi(view, 1.0, seed=3)
+        pi = draw_pi(view, 1.0, seed=(3,))
         assert set(pi.tolist()) == set(view.train_idx.tolist())
 
     def test_determinism_and_membership(self):
         stream = build_stream(_toy_dataset(100), 2, seed=0)
         view = replay_view(stream, 2, "full")
-        a = draw_pi(view, 0.2, seed=5)
-        b = draw_pi(view, 0.2, seed=5)
+        a = draw_pi(view, 0.2, seed=(5,))
+        b = draw_pi(view, 0.2, seed=(5,))
         np.testing.assert_array_equal(a, b)
         assert set(a.tolist()) <= set(view.train_idx.tolist())
         assert np.unique(a).size == a.size
@@ -129,7 +129,7 @@ class TestDrawPi:
         stream = build_stream(_toy_dataset(100), 2, seed=0)
         view = replay_view(stream, 1, "full")
         with pytest.raises(ParameterError):
-            draw_pi(view, 0.0, seed=0)
+            draw_pi(view, 0.0, seed=(0,))
 
 
 def _config(lr_mode, epochs):
