@@ -6,6 +6,9 @@ refines an existing mask, because :func:`prune_global` ignores the scores of
 positions the mask already prunes. It keeps exactly the requested number of
 highest-scoring positions across all prunable tensors jointly, breaking ties
 toward the smaller global flat index (registry order, then row-major offset).
+Selection is linear in the number of positions: a partition finds the
+threshold score, every position scoring above it is kept, and the positions
+tied at it fill the remaining slots in flat-index order.
 """
 
 import numpy as np
@@ -144,8 +147,8 @@ def prune_global(mask, scores, keep):
     missing = [n for n in names if n not in scores]
     if missing:
         raise ShapeError(f"scores missing for {missing}")
-    # negated scores in global flat order: kept positions sort by score and
-    # all pruned ones (+inf) after them
+    # negated scores in global flat order: kept positions rank by score and
+    # every pruned one (+inf) after them
     neg = np.empty(sum(a.size for a in mask.arrays.values()))
     offset = 0
     for name in names:
@@ -160,9 +163,12 @@ def prune_global(mask, scores, keep):
         if np.isnan(part).any():
             raise NumericError(f"NaN score at a kept position of {name!r}")
         offset += m.size
-    order = np.argsort(neg, kind="stable")
-    new_flat = np.zeros(neg.shape[0])
-    new_flat[order[:keep]] = 1.0
+    # the keep-th smallest value is the threshold: keep every position below
+    # it, then fill the slots left from the positions tied at it, lowest first
+    thr = np.partition(neg, keep - 1)[keep - 1]
+    new_flat = (neg < thr).astype(np.float64)
+    need = keep - int(np.count_nonzero(new_flat))
+    new_flat[np.flatnonzero(neg == thr)[:need]] = 1.0
 
     arrays = {}
     offset = 0

@@ -2,13 +2,17 @@
 
 import dataclasses
 import json
+import os
 import pathlib
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import anyprune
 from anyprune.cli import main
 from anyprune.config import config_hash, parse_config, resolved_text
 from anyprune.datasets import (
@@ -394,6 +398,31 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "megabatch 1, epoch 3, global_iter 10" in err
+
+    def test_artifacts_identical_at_one_and_two_blas_threads(self, tmp_path):
+        # matmuls large enough that OpenBLAS splits them when given two threads
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(
+            "variant = app_default\npruner = snip\ntau = 4.5\nmegabatches = 3\n"
+            "epochs = 2\nminibatch = 128\nmodel = mlp\nmlp_hidden = 512,256\n"
+            "dataset = synthetic_blobs\nblob_dim = 64\n"
+        )
+        # the child imports the same anyprune as this process, from a checkout
+        # or an install: the package's directory goes first on PYTHONPATH
+        pkg_root = os.path.dirname(os.path.dirname(anyprune.__file__))
+        pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+            done = subprocess.run(
+                [sys.executable, "-m", "anyprune.cli", "run", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(out)
+        for name in ("summary.json", "curves.csv", "predictions.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_sweep_and_plot(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"

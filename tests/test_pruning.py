@@ -278,6 +278,59 @@ class TestPruneGlobal:
                 continue
             assert scores[kept].min() >= scores[~kept].max()
 
+    def test_keep_all_kept_returns_the_old_support(self):
+        mask = SparsityMask({
+            "a": np.array([[1.0, 0.0], [1.0, 1.0]]),
+            "b": np.array([0.0, 1.0, 1.0]),
+        })
+        scores = {"a": np.array([[0.3, 9.0], [-np.inf, 0.3]]), "b": np.array([9.0, -1.0, np.inf])}
+        new = prune_global(mask, scores, keep=mask.kept_count)
+        for name, a in mask.arrays.items():
+            np.testing.assert_array_equal(new.arrays[name], a)
+
+    def test_keep_one_of_all_tied_keeps_the_first_kept_flat_index(self):
+        mask = SparsityMask({"a": np.array([0.0, 0.0, 1.0, 1.0]), "b": np.ones(3)})
+        scores = {"a": np.array([9.0, 9.0, 2.0, 2.0]), "b": np.full(3, 2.0)}
+        new = prune_global(mask, scores, keep=1)
+        np.testing.assert_array_equal(new.arrays["a"], [0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(new.arrays["b"], [0.0, 0.0, 0.0])
+
+    def test_tie_run_across_a_tensor_boundary_keeps_the_earlier_tensor(self):
+        # registry order, not name order: "z" comes first
+        mask = SparsityMask({"z": np.ones(3), "a": np.ones(3)})
+        scores = {"z": np.array([5.0, 2.0, 2.0]), "a": np.array([2.0, 2.0, 1.0])}
+        new = prune_global(mask, scores, keep=4)
+        np.testing.assert_array_equal(new.arrays["z"], [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(new.arrays["a"], [1.0, 0.0, 0.0])
+
+    def test_large_tie_heavy_mask_matches_a_stable_sort(self):
+        # more positions than the hypothesis properties draw, so numpy's
+        # partition takes its introselect path; two-decimal scores put the
+        # threshold inside a run of hundreds of ties, +0.0 and -0.0 included
+        rng = np.random.default_rng(31)
+        shapes = {"fc0_w": (320, 256), "fc1_w": (256, 128), "fc2_w": (128, 160)}
+        masks = {n: (rng.random(s) < 0.8).astype(float) for n, s in shapes.items()}
+        scores = {n: np.round(0.5 * rng.standard_normal(s), 2) for n, s in shapes.items()}
+        masks["fc0_w"].flat[:2] = 1.0
+        scores["fc0_w"].flat[:2] = (np.inf, -np.inf)
+        for n, m in masks.items():  # pruned positions would outrank every kept one
+            scores[n][m == 0.0] = 9.0
+        mask = SparsityMask(masks)
+        assert sum(m.size for m in masks.values()) >= 2 ** 17
+        flat = np.concatenate([scores[n].ravel() for n in shapes])
+        pruned = np.concatenate([masks[n].ravel() for n in shapes]) == 0.0
+        kept_zeros = flat[~pruned][flat[~pruned] == 0.0]
+        assert np.signbit(kept_zeros).any() and not np.signbit(kept_zeros).all()
+        # a stable sort: kept before pruned, then descending score, then flat index
+        order = np.lexsort((-flat, pruned))
+        at_zero = int(np.count_nonzero(flat[~pruned] > 0.0)) + kept_zeros.size // 2
+        for keep in (1, at_zero, mask.kept_count // 2, mask.kept_count - 1, mask.kept_count):
+            want = np.zeros(flat.size)
+            want[order[:keep]] = 1.0
+            new = prune_global(mask, scores, keep)
+            got = np.concatenate([new.arrays[n].ravel() for n in shapes])
+            np.testing.assert_array_equal(got, want, err_msg=f"keep={keep}")
+
 
 class TestApplyMaskAndLayerStats:
     def test_apply_identity_and_idempotence(self):
