@@ -55,11 +55,14 @@ def _cmd_sweep(args):
         raise ConfigError(f"no config files in {args.config_dir}")
     base = args.out if args.out else "runs"
     jobs = []
+    writers = {}  # run directory -> the config file that writes it
     for name in names:  # parse everything first so a bad config fails the sweep fast
         path = os.path.join(args.config_dir, name)
-        config = parse_config(path, seed_override=args.seed)
-        stem = os.path.splitext(name)[0]
-        jobs.append((path, config, os.path.join(base, stem)))
+        outdir = os.path.join(base, os.path.splitext(name)[0])
+        if outdir in writers:
+            raise ConfigError(f"{writers[outdir]} and {path} would both write {outdir}")
+        writers[outdir] = path
+        jobs.append((path, parse_config(path, seed_override=args.seed), outdir))
     if args.parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
             errors = list(pool.map(_sweep_one, jobs))

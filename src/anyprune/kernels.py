@@ -1,8 +1,9 @@
 """Convolution and pooling inner loops, in numpy.
 
-Convolutions run as a tensordot over a strided im2col view of the padded
-input; 2x2 mean pooling works on four strided slices of the input. Every
-kernel is deterministic.
+A convolution builds one im2col patch matrix per call (:func:`im2col`) and
+serves both its forward and its kernel gradient gw with it; the input
+gradient is scattered back from a tensordot with the kernel. 2x2 mean pooling
+works on four strided slices of the input. Every kernel is deterministic.
 
 Dense (matmul) layers do not live here: BLAS already is the fast path for them.
 """
@@ -32,46 +33,55 @@ def _pad(x, padding):
     return xp
 
 
-def conv2d_fwd(x, w, stride, padding):
-    xp = _pad(x, padding)
+def im2col(x, kh, kw, stride, padding):
+    """The [B·Ho·Wo, Cin·kh·kw] patch matrix of a conv2d input, C-contiguous.
+
+    Rows run over (b, i, j) output positions and columns over (c, u, v) kernel
+    taps: the copy ``np.tensordot`` would make of the strided view.
+    """
+    b, c = x.shape[0], x.shape[1]
+    ho, wo = conv2d_output_hw(x.shape[2], x.shape[3], kh, kw, stride, padding)
+    view = _im2col(_pad(x, padding), kh, kw, stride, ho, wo)
+    return view.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * kh * kw)
+
+
+def conv2d_fwd(x, w, stride, padding, cols):
+    """conv2d output [B,Cout,Ho,Wo] of ``x``, given ``cols = im2col(x, ...)``."""
+    cout = w.shape[0]
     ho, wo = conv2d_output_hw(x.shape[2], x.shape[3], w.shape[2], w.shape[3], stride, padding)
-    cols = _im2col(xp, w.shape[2], w.shape[3], stride, ho, wo)
-    out = np.tensordot(cols, w, axes=([1, 4, 5], [1, 2, 3]))  # [B,Ho,Wo,Cout]
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    out = cols @ w.transpose(1, 2, 3, 0).reshape(-1, cout)  # [B·Ho·Wo, Cout]
+    return np.ascontiguousarray(out.reshape(x.shape[0], ho, wo, cout).transpose(0, 3, 1, 2))
 
 
-def _grad_w(xp, w, gout, stride):
-    _, _, ho, wo = gout.shape
-    cols = _im2col(xp, w.shape[2], w.shape[3], stride, ho, wo)
-    return np.ascontiguousarray(np.tensordot(gout, cols, axes=([0, 2, 3], [0, 2, 3])))
-
-
-def conv2d_bwd_w(x, w, gout, stride, padding):
+def conv2d_bwd_w(x, w, gout, stride, padding, cols):
     """Kernel gradient gw of a conv2d output gradient ``gout``."""
-    return _grad_w(_pad(x, padding), w, gout, stride)
+    cout = w.shape[0]
+    return (gout.transpose(1, 0, 2, 3).reshape(cout, -1) @ cols).reshape(w.shape)
 
 
-def conv2d_bwd(x, w, gout, stride, padding):
-    """Gradients (gx, gw) of a conv2d output gradient ``gout``."""
-    xp = _pad(x, padding)
-    gw = _grad_w(xp, w, gout, stride)
+def conv2d_bwd(x, w, gout, stride, padding, cols):
+    """Gradients (gx, gw) of a conv2d output gradient ``gout``.
+
+    ``cols`` is dropped once gw is formed, so that the patch matrix and the
+    input gradient's buffers are not alive at the same time when the caller
+    has let go of it too.
+    """
+    gw = conv2d_bwd_w(x, w, gout, stride, padding, cols)
+    del cols
+    b, cin, h, wd = x.shape
     _, _, ho, wo = gout.shape
     kh, kw = w.shape[2], w.shape[3]
     # per-output-position input gradient, scattered back over (u, v) offsets
+    # into a channel-last padded buffer
     gcols = np.tensordot(gout, w, axes=(1, 0))  # [B,Ho,Wo,Cin,kh,kw]
-    gxp = np.zeros_like(xp)
+    gxp = np.zeros((b, h + 2 * padding, wd + 2 * padding, cin))
     for u in range(kh):
         for v in range(kw):
-            gxp[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride] += (
-                gcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+            gxp[:, u : u + ho * stride : stride, v : v + wo * stride : stride, :] += (
+                gcols[:, :, :, :, u, v]
             )
-    if padding:
-        gx = np.ascontiguousarray(
-            gxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
-        )
-    else:
-        gx = gxp
-    return gx, gw
+    gx = gxp[:, padding : padding + h, padding : padding + wd, :].transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(gx), gw
 
 
 def meanpool2_fwd(x):

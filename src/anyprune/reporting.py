@@ -12,6 +12,8 @@ import dataclasses
 import io
 import json
 import os
+import shutil
+import uuid
 
 from . import __version__
 from .config import resolved_text
@@ -102,8 +104,38 @@ def read_summary_json(path):
 
 
 def write_run_dir(log, outdir):
-    """Write every artifact of a completed run into ``outdir``."""
-    os.makedirs(outdir, exist_ok=True)
+    """Write every artifact of a completed run into ``outdir``; returns the summary.
+
+    The artifacts go into a temporary sibling directory that is renamed into
+    place once complete, replacing an existing ``outdir`` whole. A failure
+    while writing removes the temporary directory and leaves ``outdir`` as it
+    was, so no half-written run directory is ever visible.
+    """
+    parent, name = os.path.split(os.path.abspath(outdir))
+    os.makedirs(parent, exist_ok=True)
+    stem = os.path.join(parent, f".{name}.{uuid.uuid4().hex}")
+    tmp, old = stem + ".tmp", stem + ".old"
+    replacing = os.path.isdir(outdir)
+    os.mkdir(tmp)
+    try:
+        summary = _write_artifacts(log, tmp)
+        if replacing:
+            os.replace(outdir, old)
+        try:
+            os.replace(tmp, outdir)
+        except BaseException:
+            if replacing:
+                os.replace(old, outdir)
+            raise
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if replacing:
+        shutil.rmtree(old)
+    return summary
+
+
+def _write_artifacts(log, outdir):
     summary = summarize(log)
     with open(os.path.join(outdir, "config.resolved"), "w", encoding="utf-8", newline="\n") as f:
         f.write(resolved_text(log.config))

@@ -2,7 +2,9 @@
 
 Forward operations are free functions; pass a :class:`Tape` to record them.
 ``tape.backward(loss)`` then rolls vector-Jacobian products in reverse order of
-recording, accumulating into each tensor's ``grad`` buffer. Everything runs in
+recording, accumulating into each leaf tensor's ``grad`` buffer. A tape runs
+backward once and frees each node as its VJP finishes; a conv2d keeps its one
+im2col matrix on the tape only until its VJP has formed gw. Everything runs in
 64-bit floats with explicit shape checks and no implicit broadcasting except
 bias addition.
 """
@@ -66,10 +68,15 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of primitive operations from one forward pass."""
+    """Ordered record of primitive operations from one forward pass.
+
+    A tape runs backward once: each node is dropped as soon as its VJP has
+    run, so the memory its closure holds is freed on the way.
+    """
 
     def __init__(self):
         self._nodes = []
+        self._consumed = False
 
     def __len__(self):
         return len(self._nodes)
@@ -78,7 +85,14 @@ class Tape:
         self._nodes.append(_Node(name, inputs, output, bwd))
 
     def backward(self, loss):
-        """Accumulate gradients of a recorded scalar ``loss`` into ``.grad``."""
+        """Accumulate gradients of a recorded scalar ``loss`` into ``.grad``.
+
+        Leaves (tensors no node produced, such as parameters and inputs) keep
+        their ``.grad``; every node output's ``.grad`` is cleared once its VJP
+        has consumed it, and the tape is left empty.
+        """
+        if self._consumed:
+            raise TapeError("tape was already consumed by an earlier backward")
         if loss.data.shape != ():
             raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
         if not any(node.output is loss for node in self._nodes):
@@ -87,9 +101,11 @@ class Tape:
             node.output.grad = None
             for t in node.inputs:
                 t.grad = None
+        self._consumed = True
         loss.grad = np.asarray(1.0)
-        for node in reversed(self._nodes):
-            g = node.output.grad
+        while self._nodes:
+            node = self._nodes.pop()
+            g, node.output.grad = node.output.grad, None
             if g is None:
                 continue
             for t, gi in zip(node.inputs, node.bwd(g)):
@@ -167,12 +183,14 @@ def conv2d(x, w, stride=1, padding=0, tape=None):
             f"kernel {kh}x{kw} larger than padded input "
             f"{x.shape[2] + 2 * padding}x{x.shape[3] + 2 * padding}"
         )
-    out = Tensor(kernels.conv2d_fwd(x.data, w.data, stride, padding))
+    # One patch matrix per call; on a tape it lives until the VJP hands it on.
+    cols = [kernels.im2col(x.data, kh, kw, stride, padding)]
+    out = Tensor(kernels.conv2d_fwd(x.data, w.data, stride, padding, cols[0]))
     if tape is not None:
         def bwd(g):
             if not x.requires_grad:
-                return None, kernels.conv2d_bwd_w(x.data, w.data, g, stride, padding)
-            return kernels.conv2d_bwd(x.data, w.data, g, stride, padding)
+                return None, kernels.conv2d_bwd_w(x.data, w.data, g, stride, padding, cols.pop())
+            return kernels.conv2d_bwd(x.data, w.data, g, stride, padding, cols.pop())
 
         tape.record("conv2d", (x, w), out, bwd)
     return out

@@ -343,6 +343,34 @@ class TestReporting:
         assert (outdir / "summary.json").read_bytes() == (again / "summary.json").read_bytes()
         assert (outdir / "curves.csv").read_bytes() == (again / "curves.csv").read_bytes()
 
+    def test_failed_write_leaves_no_partial_run_dir(self, small_run_dir, tmp_path, monkeypatch):
+        _, log = small_run_dir
+
+        def fail(log, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("anyprune.reporting.write_events_csv", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_run_dir(log, tmp_path / "fresh")
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        (existing / "keep.txt").write_text("earlier run")
+        with pytest.raises(OSError, match="disk full"):
+            write_run_dir(log, existing)
+        assert os.listdir(tmp_path) == ["existing"]  # no outdir, no temp directory
+        assert os.listdir(existing) == ["keep.txt"]
+        assert (existing / "keep.txt").read_text() == "earlier run"
+
+    def test_existing_run_dir_is_replaced_whole(self, small_run_dir, tmp_path):
+        outdir, log = small_run_dir
+        target = tmp_path / "target"
+        target.mkdir()
+        (target / "stale.txt").write_text("earlier run")
+        write_run_dir(log, target)
+        assert sorted(os.listdir(target)) == sorted(os.listdir(outdir))
+        assert os.listdir(tmp_path) == ["target"]
+        assert (target / "summary.json").read_bytes() == (outdir / "summary.json").read_bytes()
+
     def test_meta_carries_identity(self, small_run_dir):
         outdir, log = small_run_dir
         meta = json.loads((outdir / "meta.json").read_text())
@@ -473,6 +501,18 @@ class TestCli:
             "sweep: 0 of 1 configs finished",
             f"failed  {cfg_dir / 'a.cfg'}: ",
         ]
+
+    def test_sweep_refuses_two_configs_writing_one_run_dir(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a.cfg").write_text(SMALL_RUN)
+        (cfg_dir / "a.txt").write_text(SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg_dir), "--out", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(cfg_dir / "a.cfg") in captured.err and str(cfg_dir / "a.txt") in captured.err
 
     def test_sweep_parallel(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"

@@ -1,5 +1,7 @@
 """Conv/pool kernels against direct-loop and reference formulas."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -30,19 +32,128 @@ def _conv2d_loops(x, w, gout, stride, padding):
     return out, gx, gw
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
+def _fwd(x, w, stride, padding):
+    cols = kernels.im2col(x, w.shape[2], w.shape[3], stride, padding)
+    return kernels.conv2d_fwd(x, w, stride, padding, cols)
+
+
+STRIDE_PADDING = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("stride,padding", STRIDE_PADDING)
 def test_conv_matches_direct_loops(stride, padding):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((2, 3, 9, 11))
     w = rng.standard_normal((4, 3, 3, 3))
-    out = kernels.conv2d_fwd(x, w, stride, padding)
+    cols = kernels.im2col(x, 3, 3, stride, padding)
+    out = kernels.conv2d_fwd(x, w, stride, padding, cols)
     g = rng.standard_normal(out.shape)
     ref_out, ref_gx, ref_gw = _conv2d_loops(x, w, g, stride, padding)
     np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
-    gx, gw = kernels.conv2d_bwd(x, w, g, stride, padding)
+    gw_only = kernels.conv2d_bwd_w(x, w, g, stride, padding, cols)
+    gx, gw = kernels.conv2d_bwd(x, w, g, stride, padding, cols)
     np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gw, ref_gw, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(kernels.conv2d_bwd_w(x, w, g, stride, padding), gw)
+    assert np.array_equal(gw_only, gw)
+
+
+def _patches(x, kh, kw, stride, padding):
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    s0, s1, s2, s3 = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, shape=(x.shape[0], x.shape[1], ho, wo, kh, kw),
+        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
+    )
+    return xp, view
+
+
+def _conv2d_fwd_reference(x, w, stride, padding):
+    _, view = _patches(x, w.shape[2], w.shape[3], stride, padding)
+    out = np.tensordot(view, w, axes=([1, 4, 5], [1, 2, 3]))  # [B,Ho,Wo,Cout]
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def _conv2d_bwd_reference(x, w, gout, stride, padding):
+    """(gx, gw) by tensordot over the strided view and an NCHW scatter."""
+    kh, kw = w.shape[2], w.shape[3]
+    xp, view = _patches(x, kh, kw, stride, padding)
+    gw = np.tensordot(gout, view, axes=([0, 2, 3], [0, 2, 3]))
+    _, _, ho, wo = gout.shape
+    gcols = np.tensordot(gout, w, axes=(1, 0))  # [B,Ho,Wo,Cin,kh,kw]
+    gxp = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride] += (
+                gcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+            )
+    gx = gxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
+    return gx, gw
+
+
+@pytest.mark.parametrize(
+    "x_shape,w_shape,stride,padding",
+    [((2, 3, 9, 11), (4, 3, 3, 3), s, p) for s, p in STRIDE_PADDING]
+    + [
+        ((3, 2, 5, 6), (4, 2, 1, 1), 1, 0),
+        ((3, 2, 5, 6), (4, 2, 1, 1), 2, 1),
+        ((3, 2, 5, 6), (4, 2, 2, 2), 1, 0),
+        ((3, 2, 6, 7), (4, 2, 2, 2), 2, 1),
+        ((486, 8, 7, 7), (16, 8, 3, 3), 1, 1),  # a scoring-sized batch
+    ],
+)
+def test_conv_bits_match_tensordot_formulas(x_shape, w_shape, stride, padding):
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(x_shape)
+    w = rng.standard_normal(w_shape)
+    cols = kernels.im2col(x, w_shape[2], w_shape[3], stride, padding)
+    assert cols.flags["C_CONTIGUOUS"]
+    out = kernels.conv2d_fwd(x, w, stride, padding, cols)
+    assert np.array_equal(out, _conv2d_fwd_reference(x, w, stride, padding))
+    g = rng.standard_normal(out.shape)
+    ref_gx, ref_gw = _conv2d_bwd_reference(x, w, g, stride, padding)
+    assert np.array_equal(kernels.conv2d_bwd_w(x, w, g, stride, padding, cols), ref_gw)
+    gx, gw = kernels.conv2d_bwd(x, w, g, stride, padding, cols)
+    assert np.array_equal(gx, ref_gx)
+    assert np.array_equal(gw, ref_gw)
+
+
+def _track_im2col(monkeypatch):
+    """Weak references to every matrix ``kernels.im2col`` returns from now on."""
+    refs = []
+    real = kernels.im2col
+
+    def tracked(*args):
+        cols = real(*args)
+        refs.append(weakref.ref(cols))
+        return cols
+
+    monkeypatch.setattr(kernels, "im2col", tracked)
+    return refs
+
+
+def test_im2col_matrix_dies_with_an_untaped_conv(monkeypatch):
+    refs = _track_im2col(monkeypatch)
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.standard_normal((2, 3, 6, 5)))
+    out = conv2d(x, Tensor(rng.standard_normal((4, 3, 3, 3))), 1, 1)
+    assert out.shape == (2, 4, 6, 5)
+    assert len(refs) == 1 and refs[0]() is None
+
+
+@pytest.mark.parametrize("requires_grad", [True, False])
+def test_im2col_matrix_lives_on_the_tape_until_backward(monkeypatch, requires_grad):
+    refs = _track_im2col(monkeypatch)
+    rng = np.random.default_rng(47)
+    x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=requires_grad)
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)))
+    tape = Tape()
+    loss = sum_all(conv2d(x, w, 1, 1, tape), tape)
+    assert len(refs) == 1 and refs[0]() is not None
+    tape.backward(loss)
+    assert refs[0]() is None
+    assert w.grad is not None and (x.grad is not None) == requires_grad
 
 
 def _meanpool2_fwd_reference(x):
@@ -74,7 +185,7 @@ def test_mean_pool_bits_match_reference_formulas(shape):
 def test_conv_identity_kernel():
     x = np.arange(16.0).reshape(1, 1, 4, 4)
     w = np.ones((1, 1, 1, 1))
-    out = kernels.conv2d_fwd(x, w, 1, 0)
+    out = _fwd(x, w, 1, 0)
     np.testing.assert_array_equal(out, x)
 
 
@@ -82,14 +193,14 @@ def test_conv_hand_value():
     # [[1,2],[3,4]] correlated with [[1,0],[0,1]] -> 1*1 + 4*1 = 5
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
     w = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
-    out = kernels.conv2d_fwd(x, w, 1, 0)
+    out = _fwd(x, w, 1, 0)
     np.testing.assert_array_equal(out, [[[[5.0]]]])
 
 
 def test_conv_same_padding_shape():
     x = np.zeros((1, 1, 4, 4))
     w = np.zeros((1, 1, 3, 3))
-    assert kernels.conv2d_fwd(x, w, 1, 1).shape == (1, 1, 4, 4)
+    assert _fwd(x, w, 1, 1).shape == (1, 1, 4, 4)
 
 
 def test_conv_kernel_too_large():
@@ -113,9 +224,9 @@ def test_conv_gradcheck():
         for i in range(0, flat.size, 7):
             orig = flat[i]
             flat[i] = orig + h
-            lp = float(kernels.conv2d_fwd(x.data, w.data, 1, 1).sum())
+            lp = float(_fwd(x.data, w.data, 1, 1).sum())
             flat[i] = orig - h
-            lm = float(kernels.conv2d_fwd(x.data, w.data, 1, 1).sum())
+            lm = float(_fwd(x.data, w.data, 1, 1).sum())
             flat[i] = orig
             assert ga[i] == pytest.approx((lp - lm) / (2 * h), abs=1e-6)
 

@@ -126,6 +126,30 @@ class TestBackward:
         with pytest.raises(TapeError):
             tape.backward(out)
 
+    def test_backward_empties_the_tape_and_keeps_only_leaf_grads(self):
+        x = Tensor([[1.0, -2.0], [3.0, 4.0]])
+        w = Tensor([[1.0, -1.0], [2.0, 1.0]])
+        tape = Tape()
+        h = matmul(x, w, tape)  # [[-3, -3], [11, 1]]
+        r = relu(h, tape)
+        loss = sum_all(r, tape)
+        tape.backward(loss)
+        assert len(tape) == 0
+        assert h.grad is None and r.grad is None and loss.grad is None
+        active = (h.data > 0.0).astype(np.float64)
+        np.testing.assert_array_equal(w.grad, x.data.T @ active)
+        np.testing.assert_array_equal(x.grad, active @ w.data.T)
+
+    def test_second_backward_raises(self):
+        w = Tensor([1.0, 2.0])
+        tape = Tape()
+        loss = sum_all(relu(w, tape), tape)
+        tape.backward(loss)
+        grad = w.grad.copy()
+        with pytest.raises(TapeError, match="already consumed"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(w.grad, grad)
+
     def test_gradients_match_finite_differences(self):
         # spot-check a couple of seeds here; the acceptance suite runs twenty
         for seed in (0, 1):
