@@ -11,7 +11,7 @@ import sys
 from .config import parse_config, run_id
 from .errors import AnypruneError, ConfigError
 from .harness import run
-from .reporting import emit_svg_from_dir, write_run_dir
+from .reporting import check_run_dir, emit_svg_from_dir, write_run_dir
 
 # failures that exit 2; a sweep records them per config and runs the rest
 RUNTIME_ERRORS = (AnypruneError, OSError, FloatingPointError)
@@ -32,6 +32,7 @@ def _execute(config, outdir):
 def _cmd_run(args):
     config = parse_config(args.config, seed_override=args.seed)
     outdir = args.out if args.out else os.path.join("runs", run_id(config))
+    check_run_dir(outdir)
     _execute(config, outdir)
     return 0
 
@@ -62,6 +63,7 @@ def _cmd_sweep(args):
         if outdir in writers:
             raise ConfigError(f"{writers[outdir]} and {path} would both write {outdir}")
         writers[outdir] = path
+        check_run_dir(outdir)
         jobs.append((path, parse_config(path, seed_override=args.seed), outdir))
     if args.parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
@@ -90,13 +92,21 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="execute one run config")
     p_run.add_argument("config", help="path to a key = value config file")
-    p_run.add_argument("--out", default=None, help="output directory (default runs/<run_id>)")
+    p_run.add_argument(
+        "--out", default=None,
+        help="output directory (default runs/<run_id>); an existing one is replaced "
+        "only if it holds nothing but run artifacts",
+    )
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run every config file in a directory")
     p_sweep.add_argument("config_dir")
-    p_sweep.add_argument("--out", default=None, help="base output directory (default runs/)")
+    p_sweep.add_argument(
+        "--out", default=None,
+        help="base output directory (default runs/); an existing run directory in it is "
+        "replaced only if it holds nothing but run artifacts",
+    )
     p_sweep.add_argument("--parallel", type=int, default=1, help="independent runs in parallel")
     p_sweep.add_argument("--seed", type=int, default=None, help="override the master seed")
     p_sweep.set_defaults(func=_cmd_sweep)

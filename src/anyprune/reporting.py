@@ -13,10 +13,11 @@ import io
 import json
 import os
 import shutil
-import uuid
+import tempfile
 
 from . import __version__
 from .config import resolved_text
+from .errors import ConfigError
 from .metrics import summarize
 
 CURVES_COLUMNS = (
@@ -103,35 +104,58 @@ def read_summary_json(path):
         return json.load(f)
 
 
+RUN_ARTIFACTS = frozenset((
+    "config.resolved", "curves.csv", "megabatches.csv", "predictions.csv", "events.csv",
+    "summary.json", "meta.json", "gen_gap.svg", "cer.svg", "layer_pruned.svg",
+))
+
+
+def check_run_dir(outdir):
+    """Raise ConfigError unless ``outdir`` is absent, empty, or holds only run artifacts.
+
+    Only such a directory may be replaced by a new run, so a mistyped ``--out``
+    can never delete a directory of other files.
+    """
+    if not os.path.exists(outdir):
+        return
+    if not os.path.isdir(outdir):
+        raise ConfigError(f"{outdir} exists and is not a directory")
+    foreign = sorted(set(os.listdir(outdir)) - RUN_ARTIFACTS)
+    if foreign:
+        raise ConfigError(
+            f"{outdir} is not a run directory (it holds {foreign[0]!r}); refusing to replace it"
+        )
+
+
 def write_run_dir(log, outdir):
     """Write every artifact of a completed run into ``outdir``; returns the summary.
 
-    The artifacts go into a temporary sibling directory that is renamed into
-    place once complete, replacing an existing ``outdir`` whole. A failure
-    while writing removes the temporary directory and leaves ``outdir`` as it
-    was, so no half-written run directory is ever visible.
+    ``outdir`` must pass ``check_run_dir``. The artifacts go into a temporary
+    sibling directory that is renamed into place once complete, replacing an
+    existing ``outdir`` (or the directory a symlink ``outdir`` points to) whole.
+    A failure while writing leaves ``outdir`` as it was, so no half-written run
+    directory is ever visible.
     """
-    parent, name = os.path.split(os.path.abspath(outdir))
+    check_run_dir(outdir)
+    target = os.path.realpath(outdir)
+    parent, name = os.path.split(target)
     os.makedirs(parent, exist_ok=True)
-    stem = os.path.join(parent, f".{name}.{uuid.uuid4().hex}")
-    tmp, old = stem + ".tmp", stem + ".old"
-    replacing = os.path.isdir(outdir)
-    os.mkdir(tmp)
+    box = tempfile.mkdtemp(dir=parent, prefix=f".{name}.")
     try:
+        tmp, old = os.path.join(box, name), os.path.join(box, "old")
+        os.mkdir(tmp)
         summary = _write_artifacts(log, tmp)
+        replacing = os.path.isdir(target)
         if replacing:
-            os.replace(outdir, old)
+            os.replace(target, old)
         try:
-            os.replace(tmp, outdir)
+            os.replace(tmp, target)
         except BaseException:
             if replacing:
-                os.replace(old, outdir)
+                os.replace(old, target)
             raise
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    if replacing:
-        shutil.rmtree(old)
+    finally:
+        shutil.rmtree(box, ignore_errors=True)  # a failed cleanup must not fail a finished write
     return summary
 
 

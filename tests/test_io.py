@@ -354,22 +354,46 @@ class TestReporting:
             write_run_dir(log, tmp_path / "fresh")
         existing = tmp_path / "existing"
         existing.mkdir()
-        (existing / "keep.txt").write_text("earlier run")
+        (existing / "summary.json").write_text("earlier run")
         with pytest.raises(OSError, match="disk full"):
             write_run_dir(log, existing)
         assert os.listdir(tmp_path) == ["existing"]  # no outdir, no temp directory
-        assert os.listdir(existing) == ["keep.txt"]
-        assert (existing / "keep.txt").read_text() == "earlier run"
+        assert os.listdir(existing) == ["summary.json"]
+        assert (existing / "summary.json").read_text() == "earlier run"
 
     def test_existing_run_dir_is_replaced_whole(self, small_run_dir, tmp_path):
         outdir, log = small_run_dir
         target = tmp_path / "target"
         target.mkdir()
-        (target / "stale.txt").write_text("earlier run")
+        (target / "summary.json").write_text("earlier run")
+        earlier = os.stat(target).st_ino
         write_run_dir(log, target)
+        assert os.stat(target).st_ino != earlier
         assert sorted(os.listdir(target)) == sorted(os.listdir(outdir))
         assert os.listdir(tmp_path) == ["target"]
         assert (target / "summary.json").read_bytes() == (outdir / "summary.json").read_bytes()
+
+    def test_symlinked_run_dir_is_replaced_through_the_link(self, small_run_dir, tmp_path):
+        outdir, log = small_run_dir
+        real = tmp_path / "real"
+        real.mkdir()
+        (real / "summary.json").write_text("earlier run")
+        link = tmp_path / "link"
+        link.symlink_to(real, target_is_directory=True)
+        write_run_dir(log, link)
+        assert link.is_symlink()
+        assert sorted(os.listdir(tmp_path)) == ["link", "real"]
+        assert (real / "summary.json").read_bytes() == (outdir / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("foreign", ["notes.txt", ".git"])
+    def test_directory_with_other_files_is_never_replaced(self, small_run_dir, tmp_path, foreign):
+        _, log = small_run_dir
+        (tmp_path / foreign).write_text("not a run artifact")
+        (tmp_path / "summary.json").write_text("earlier run")
+        with pytest.raises(ConfigError, match="not a run directory"):
+            write_run_dir(log, tmp_path)
+        assert sorted(os.listdir(tmp_path)) == sorted([foreign, "summary.json"])
+        assert (tmp_path / foreign).read_text() == "not a run artifact"
 
     def test_meta_carries_identity(self, small_run_dir):
         outdir, log = small_run_dir
@@ -513,6 +537,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert str(cfg_dir / "a.cfg") in captured.err and str(cfg_dir / "a.txt") in captured.err
+
+    def test_out_holding_other_files_exits_1_and_runs_nothing(self, tmp_path, capsys, monkeypatch):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a.cfg").write_text(SMALL_RUN)
+        out = tmp_path / "out"
+        (out / "a").mkdir(parents=True)
+        (out / "a" / "notes.txt").write_text("keep me")
+
+        def must_not_run(config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("anyprune.cli.run", must_not_run)
+        assert main(["run", str(cfg_dir / "a.cfg"), "--out", str(out)]) == 1
+        assert main(["sweep", str(cfg_dir), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("is not a run directory") == 2
+        assert sorted(os.listdir(out)) == ["a"]
+        assert os.listdir(out / "a") == ["notes.txt"]
+        assert (out / "a" / "notes.txt").read_text() == "keep me"
 
     def test_sweep_parallel(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"
