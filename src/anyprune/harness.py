@@ -221,6 +221,9 @@ def dataset_for_config(config):
     if config.dataset == "idx":
         x, y, shape = load_idx(config.idx_train_images, config.idx_train_labels)
         xt, yt, shape_t = load_idx(config.idx_test_images, config.idx_test_labels)
+        for path, labels in ((config.idx_train_images, y), (config.idx_test_images, yt)):
+            if not labels.size:
+                raise DataError(f"{path}: holds no images")
         if shape != shape_t:
             raise FormatError(f"train images are {shape}, test images are {shape_t}")
         classes = int(max(y.max(), yt.max())) + 1

@@ -1,23 +1,22 @@
-"""Convolution and pooling inner loops, in numpy.
+"""Convolution and pooling inner loops, in numpy, on channel-last arrays.
 
-A convolution builds one im2col patch matrix per call (:func:`im2col`) and
-serves both its forward and its kernel gradient gw with it; the input
-gradient is scattered back from a tensordot with the kernel. 2x2 mean pooling
-works on four strided slices of the input. Every kernel is deterministic.
+Activations are ``[B, H, W, C]`` (NHWC); kernels stay ``[Cout, Cin, kh, kw]``.
+The model's input and its flattened conv features change layout in
+``Model.forward``, nowhere else. A convolution builds one im2col patch matrix
+per call (:func:`im2col`) and serves both its forward and its kernel gradient
+gw with it. In this layout the forward output is the GEMM result reshaped, the
+output gradient is the GEMM operand of the input gradient as it stands, and
+the input gradient is the unpadded slice of a channel-last scatter buffer: no
+step transposes an activation. One copy here exists only to keep the
+artifacts' bits: gw multiplies a C-contiguous ``[Cout, B·Ho·Wo]`` copy of the
+output gradient, since BLAS sums its transposed view in another order
+(``tensor.bias_add`` keeps the other such copy). 2x2 mean pooling works on
+four strided slices of the input. Every kernel is deterministic.
 
 Dense (matmul) layers do not live here: BLAS already is the fast path for them.
 """
 
 import numpy as np
-
-
-def _im2col(xp, kh, kw, stride, ho, wo):
-    # read-only strided view [B, C, Ho, Wo, kh, kw] over the padded input
-    b, c, _, _ = xp.shape
-    s0, s1, s2, s3 = xp.strides
-    shape = (b, c, ho, wo, kh, kw)
-    strides = (s0, s1, s2 * stride, s3 * stride, s2, s3)
-    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
 
 
 def conv2d_output_hw(h, w, kh, kw, stride, padding):
@@ -27,36 +26,53 @@ def conv2d_output_hw(h, w, kh, kw, stride, padding):
 def _pad(x, padding):
     if padding == 0:
         return x
-    b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
-    xp[:, :, padding : padding + h, padding : padding + w] = x
+    b, h, w, c = x.shape
+    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c))
+    xp[:, padding : padding + h, padding : padding + w, :] = x
     return xp
+
+
+# images per block of im2col copies: a block of the patch matrix stays in cache
+# while its kh·kw taps are written
+_IM2COL_IMAGES = 32
 
 
 def im2col(x, kh, kw, stride, padding):
     """The [B·Ho·Wo, Cin·kh·kw] patch matrix of a conv2d input, C-contiguous.
 
     Rows run over (b, i, j) output positions and columns over (c, u, v) kernel
-    taps: the copy ``np.tensordot`` would make of the strided view.
+    taps, the order of the kernel's trailing axes.
     """
-    b, c = x.shape[0], x.shape[1]
-    ho, wo = conv2d_output_hw(x.shape[2], x.shape[3], kh, kw, stride, padding)
-    view = _im2col(_pad(x, padding), kh, kw, stride, ho, wo)
-    return view.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * kh * kw)
+    b, h, w, c = x.shape
+    ho, wo = conv2d_output_hw(h, w, kh, kw, stride, padding)
+    xp = _pad(x, padding)
+    cols = np.empty((b, ho, wo, c, kh, kw))
+    # one strided copy per tap and block; the copy of a whole strided
+    # [B, Ho, Wo, C, kh, kw] view runs its inner loop over kw taps only
+    for start in range(0, b, _IM2COL_IMAGES):
+        block = slice(start, start + _IM2COL_IMAGES)
+        for u in range(kh):
+            for v in range(kw):
+                cols[block, :, :, :, u, v] = (
+                    xp[block, u : u + ho * stride : stride, v : v + wo * stride : stride, :]
+                )
+    return cols.reshape(b * ho * wo, c * kh * kw)
 
 
 def conv2d_fwd(x, w, stride, padding, cols):
-    """conv2d output [B,Cout,Ho,Wo] of ``x``, given ``cols = im2col(x, ...)``."""
+    """conv2d output [B,Ho,Wo,Cout] of ``x``, given ``cols = im2col(x, ...)``."""
     cout = w.shape[0]
-    ho, wo = conv2d_output_hw(x.shape[2], x.shape[3], w.shape[2], w.shape[3], stride, padding)
+    ho, wo = conv2d_output_hw(x.shape[1], x.shape[2], w.shape[2], w.shape[3], stride, padding)
     out = cols @ w.transpose(1, 2, 3, 0).reshape(-1, cout)  # [B·Ho·Wo, Cout]
-    return np.ascontiguousarray(out.reshape(x.shape[0], ho, wo, cout).transpose(0, 3, 1, 2))
+    return out.reshape(x.shape[0], ho, wo, cout)
 
 
 def conv2d_bwd_w(x, w, gout, stride, padding, cols):
     """Kernel gradient gw of a conv2d output gradient ``gout``."""
     cout = w.shape[0]
-    return (gout.transpose(1, 0, 2, 3).reshape(cout, -1) @ cols).reshape(w.shape)
+    # a copy, not the transposed view: BLAS sums the view in another order
+    g2 = np.ascontiguousarray(gout.reshape(-1, cout).T)  # [Cout, B·Ho·Wo]
+    return (g2 @ cols).reshape(w.shape)
 
 
 def conv2d_bwd(x, w, gout, stride, padding, cols):
@@ -68,27 +84,25 @@ def conv2d_bwd(x, w, gout, stride, padding, cols):
     """
     gw = conv2d_bwd_w(x, w, gout, stride, padding, cols)
     del cols
-    b, cin, h, wd = x.shape
-    _, _, ho, wo = gout.shape
+    b, h, wd, cin = x.shape
+    _, ho, wo, cout = gout.shape
     kh, kw = w.shape[2], w.shape[3]
     # per-output-position input gradient, scattered back over (u, v) offsets
-    # into a channel-last padded buffer
-    gcols = np.tensordot(gout, w, axes=(1, 0))  # [B,Ho,Wo,Cin,kh,kw]
+    gcols = (gout.reshape(-1, cout) @ w.reshape(cout, -1)).reshape(b, ho, wo, cin, kh, kw)
     gxp = np.zeros((b, h + 2 * padding, wd + 2 * padding, cin))
     for u in range(kh):
         for v in range(kw):
             gxp[:, u : u + ho * stride : stride, v : v + wo * stride : stride, :] += (
                 gcols[:, :, :, :, u, v]
             )
-    gx = gxp[:, padding : padding + h, padding : padding + wd, :].transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(gx), gw
+    return gxp[:, padding : padding + h, padding : padding + wd, :], gw
 
 
 def meanpool2_fwd(x):
-    h2, w2 = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
-    a, b = x[:, :, 0:h2:2, 0:w2:2], x[:, :, 0:h2:2, 1:w2:2]
-    c, d = x[:, :, 1:h2:2, 0:w2:2], x[:, :, 1:h2:2, 1:w2:2]
-    # These summation orders give the bits of numpy's
+    h2, w2 = x.shape[1] // 2 * 2, x.shape[2] // 2 * 2
+    a, b = x[:, 0:h2:2, 0:w2:2], x[:, 0:h2:2, 1:w2:2]
+    c, d = x[:, 1:h2:2, 0:w2:2], x[:, 1:h2:2, 1:w2:2]
+    # These summation orders give the bits of numpy's channel-first
     # x.reshape(b, c, ho, 2, wo, 2).mean(axis=(3, 5)), which sums a window in
     # sequence when the output is one column wide and by rows otherwise.
     # (Four -0.0 average to -0.0 here, to +0.0 there; relu outputs hold no -0.0.)
@@ -98,11 +112,11 @@ def meanpool2_fwd(x):
 
 
 def meanpool2_bwd(x, gout):
-    h2, w2 = 2 * gout.shape[2], 2 * gout.shape[3]
+    h2, w2 = 2 * gout.shape[1], 2 * gout.shape[2]
     g = gout * 0.25
     gx = np.zeros_like(x)
-    gx[:, :, 0:h2:2, 0:w2:2] = g
-    gx[:, :, 0:h2:2, 1:w2:2] = g
-    gx[:, :, 1:h2:2, 0:w2:2] = g
-    gx[:, :, 1:h2:2, 1:w2:2] = g
+    gx[:, 0:h2:2, 0:w2:2] = g
+    gx[:, 0:h2:2, 1:w2:2] = g
+    gx[:, 1:h2:2, 0:w2:2] = g
+    gx[:, 1:h2:2, 1:w2:2] = g
     return gx

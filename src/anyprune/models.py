@@ -139,7 +139,10 @@ class Model:
         return {e.name: e.tensor for e in self.registry}
 
     def forward(self, x, tape=None):
-        """Logits [batch, C] for a [batch, d] (or image-shaped) input array."""
+        """Logits [batch, C] for a [batch, d] (or image-shaped) input array.
+
+        Image-shaped input is in (c, h, w) order, as ``spec.input_shape``.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
@@ -151,13 +154,16 @@ class Model:
         if self.spec.kind == "mlp":
             h = T.Tensor(x.reshape(x.shape[0], d), requires_grad=False)
         else:
-            h = T.Tensor(x.reshape(x.shape[0], *self.spec.input_shape), requires_grad=False)
+            # the conv stack runs channel-last; one channel needs no copy here
+            x = x.reshape(x.shape[0], *self.spec.input_shape).transpose(0, 2, 3, 1)
+            h = T.Tensor(x, requires_grad=False)
             for i, (_, _, stride, pad) in enumerate(self.spec.conv_stack):
                 h = T.conv2d(h, self.registry[f"conv{i}_w"].tensor, stride, pad, tape)
                 h = T.bias_add(h, self.registry[f"conv{i}_b"].tensor, tape)
                 h = T.relu(h, tape)
                 h = T.mean_pool2(h, tape)
-            h = T.reshape(h, (h.shape[0], self.spec.flat_dim()), tape)
+            # fc0 takes the features in (c, h, w) order
+            h = T.reshape(h, (h.shape[0], self.spec.flat_dim()), tape, axes=(0, 3, 1, 2))
         n_dense = len(self.spec.dense_sizes()) - 1
         for i in range(n_dense):
             h = T.matmul(h, self.registry[f"fc{i}_w"].tensor, tape)

@@ -7,6 +7,11 @@ backward once and frees each node as its VJP finishes; a conv2d keeps its one
 im2col matrix on the tape only until its VJP has formed gw. Everything runs in
 64-bit floats with explicit shape checks and no implicit broadcasting except
 bias addition.
+
+Image activations are channel-last, ``[B, H, W, C]``: ``conv2d``,
+``mean_pool2`` and the 4-d ``bias_add`` take and return that layout. The 4-d
+bias gradient sums a channel-first copy of ``g`` only to keep the artifacts'
+bits: numpy sums the channel-last array in another order.
 """
 
 import numpy as np
@@ -133,25 +138,28 @@ def matmul(a, b, tape=None):
 
 
 def bias_add(x, b, tape=None):
-    """Add a per-column (2-d) or per-channel (4-d) bias vector.
+    """Add a per-column (2-d) or per-channel (4-d [B,H,W,C]) bias vector.
 
     The single sanctioned broadcast in the package.
     """
-    if x.data.ndim == 2:
-        if b.shape != (x.shape[1],):
-            raise ShapeError(f"bias {b.shape} does not match columns of {x.shape}")
-        out = Tensor(x.data + b.data)
-        reduce_axes = (0,)
-    elif x.data.ndim == 4:
-        if b.shape != (x.shape[1],):
-            raise ShapeError(f"bias {b.shape} does not match channels of {x.shape}")
-        out = Tensor(x.data + b.data[None, :, None, None])
-        reduce_axes = (0, 2, 3)
-    else:
+    if x.data.ndim not in (2, 4):
         raise ShapeError(f"bias_add supports 2-d or 4-d inputs, got {x.shape}")
+    if b.shape != x.shape[-1:]:
+        raise ShapeError(f"bias {b.shape} does not match the last axis of {x.shape}")
+    if x.data.ndim == 2:
+        out = Tensor(x.data + b.data)
+    else:
+        # one [H, W, C] bias map for every image: numpy then adds in long
+        # runs, where broadcasting b itself would add C-wide ones
+        bias_map = np.empty(x.shape[1:])
+        bias_map[...] = b.data
+        out = Tensor(x.data + bias_map)
     if tape is not None:
         def bwd(g):
-            return g, g.sum(axis=reduce_axes)
+            if g.ndim == 2:
+                return g, g.sum(axis=0)
+            # summed channel-first for the bits; see the module docstring
+            return g, np.ascontiguousarray(g.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
 
         tape.record("bias_add", (x, b), out, bwd)
     return out
@@ -168,20 +176,23 @@ def relu(x, tape=None):
 
 
 def conv2d(x, w, stride=1, padding=0, tape=None):
-    """Cross-correlation of [B,Cin,H,W] input with [Cout,Cin,kh,kw] kernel."""
+    """Cross-correlation of [B,H,W,Cin] input with [Cout,Cin,kh,kw] kernel.
+
+    The output is [B,Ho,Wo,Cout].
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input and kernel, got {x.shape}, {w.shape}")
-    if x.shape[1] != w.shape[1]:
+    if x.shape[3] != w.shape[1]:
         raise ShapeError(f"channel mismatch: input {x.shape}, kernel {w.shape}")
     if stride < 1:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ShapeError(f"padding must be >= 0, got {padding}")
     kh, kw = w.shape[2], w.shape[3]
-    if kh > x.shape[2] + 2 * padding or kw > x.shape[3] + 2 * padding:
+    if kh > x.shape[1] + 2 * padding or kw > x.shape[2] + 2 * padding:
         raise ShapeError(
             f"kernel {kh}x{kw} larger than padded input "
-            f"{x.shape[2] + 2 * padding}x{x.shape[3] + 2 * padding}"
+            f"{x.shape[1] + 2 * padding}x{x.shape[2] + 2 * padding}"
         )
     # One patch matrix per call; on a tape it lives until the VJP hands it on.
     cols = [kernels.im2col(x.data, kh, kw, stride, padding)]
@@ -197,10 +208,10 @@ def conv2d(x, w, stride=1, padding=0, tape=None):
 
 
 def mean_pool2(x, tape=None):
-    """2x2 stride-2 mean pooling; odd trailing rows/columns are dropped."""
+    """2x2 stride-2 mean pooling of [B,H,W,C]; odd trailing rows/columns are dropped."""
     if x.data.ndim != 4:
         raise ShapeError(f"mean_pool2 needs a 4-d input, got {x.shape}")
-    if x.shape[2] < 2 or x.shape[3] < 2:
+    if x.shape[1] < 2 or x.shape[2] < 2:
         raise ShapeError(f"mean_pool2 needs spatial dims >= 2, got {x.shape}")
     out = Tensor(kernels.meanpool2_fwd(x.data))
     if tape is not None:
@@ -211,14 +222,19 @@ def mean_pool2(x, tape=None):
     return out
 
 
-def reshape(x, shape, tape=None):
+def reshape(x, shape, tape=None, axes=None):
+    """``x`` reshaped to ``shape``; with ``axes``, permuted first as by np.transpose."""
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    out = Tensor(x.data.reshape(shape))
+    axes = tuple(range(x.data.ndim)) if axes is None else tuple(axes)
+    src = x.data.transpose(axes)
+    out = Tensor(src.reshape(shape))
     if tape is not None:
+        inverse = [axes.index(i) for i in range(len(axes))]
+
         def bwd(g):
-            return (g.reshape(x.shape),)
+            return (g.reshape(src.shape).transpose(inverse),)
 
         tape.record("reshape", (x,), out, bwd)
     return out

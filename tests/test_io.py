@@ -438,6 +438,25 @@ class TestCli:
         )
         assert main(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_idx_file_exits_2_naming_the_file(self, tmp_path, capsys, empty):
+        x, y, shape = gen_digits(per_class=3, seed=0, side=8)
+        for part in ("train", "test"):
+            n = 0 if part == empty else len(y)
+            write_idx(x[:n], y[:n], tmp_path / f"{part}-i", tmp_path / f"{part}-l", shape)
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(
+            "variant = baseline\nmegabatches = 2\ndataset = idx\n"
+            + "".join(
+                f"idx_{part}_{kind} = {tmp_path / f'{part}-{kind[0]}'}\n"
+                for part in ("train", "test") for kind in ("images", "labels")
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{tmp_path / f'{empty}-i'}: holds no images" in capsys.readouterr().err
+
     def test_diverging_run_fails_loudly(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
         text = (pathlib.Path(__file__).parents[1] / "configs" / "baseline_blobs.cfg").read_text()

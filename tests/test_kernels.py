@@ -1,4 +1,9 @@
-"""Conv/pool kernels against direct-loop and reference formulas."""
+"""Conv/pool kernels against direct-loop and reference formulas.
+
+The kernels and ops take channel-last [B, H, W, C] activations; the references
+here stay channel-first [B, C, H, W], so each test transposes its inputs into
+the kernels and their outputs back.
+"""
 
 import weakref
 
@@ -7,7 +12,15 @@ import pytest
 
 from anyprune import kernels
 from anyprune.errors import ShapeError
-from anyprune.tensor import Tape, Tensor, conv2d, mean_pool2, sum_all
+from anyprune.tensor import Tape, Tensor, bias_add, conv2d, matmul, mean_pool2, reshape, sum_all
+
+
+def _nhwc(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def _nchw(a):
+    return a.transpose(0, 3, 1, 2)
 
 
 def _conv2d_loops(x, w, gout, stride, padding):
@@ -33,6 +46,7 @@ def _conv2d_loops(x, w, gout, stride, padding):
 
 
 def _fwd(x, w, stride, padding):
+    """conv2d output of channel-last ``x``, channel-last."""
     cols = kernels.im2col(x, w.shape[2], w.shape[3], stride, padding)
     return kernels.conv2d_fwd(x, w, stride, padding, cols)
 
@@ -45,14 +59,14 @@ def test_conv_matches_direct_loops(stride, padding):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((2, 3, 9, 11))
     w = rng.standard_normal((4, 3, 3, 3))
-    cols = kernels.im2col(x, 3, 3, stride, padding)
-    out = kernels.conv2d_fwd(x, w, stride, padding, cols)
+    cols = kernels.im2col(_nhwc(x), 3, 3, stride, padding)
+    out = _nchw(kernels.conv2d_fwd(_nhwc(x), w, stride, padding, cols))
     g = rng.standard_normal(out.shape)
     ref_out, ref_gx, ref_gw = _conv2d_loops(x, w, g, stride, padding)
     np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
-    gw_only = kernels.conv2d_bwd_w(x, w, g, stride, padding, cols)
-    gx, gw = kernels.conv2d_bwd(x, w, g, stride, padding, cols)
-    np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=1e-12)
+    gw_only = kernels.conv2d_bwd_w(_nhwc(x), w, _nhwc(g), stride, padding, cols)
+    gx, gw = kernels.conv2d_bwd(_nhwc(x), w, _nhwc(g), stride, padding, cols)
+    np.testing.assert_allclose(_nchw(gx), ref_gx, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gw, ref_gw, rtol=1e-12, atol=1e-12)
     assert np.array_equal(gw_only, gw)
 
@@ -101,21 +115,23 @@ def _conv2d_bwd_reference(x, w, gout, stride, padding):
         ((3, 2, 5, 6), (4, 2, 2, 2), 1, 0),
         ((3, 2, 6, 7), (4, 2, 2, 2), 2, 1),
         ((486, 8, 7, 7), (16, 8, 3, 3), 1, 1),  # a scoring-sized batch
+        ((32, 1, 14, 14), (8, 1, 3, 3), 1, 1),  # a training minibatch of the first layer
     ],
 )
 def test_conv_bits_match_tensordot_formulas(x_shape, w_shape, stride, padding):
     rng = np.random.default_rng(41)
     x = rng.standard_normal(x_shape)
     w = rng.standard_normal(w_shape)
-    cols = kernels.im2col(x, w_shape[2], w_shape[3], stride, padding)
+    cols = kernels.im2col(_nhwc(x), w_shape[2], w_shape[3], stride, padding)
     assert cols.flags["C_CONTIGUOUS"]
-    out = kernels.conv2d_fwd(x, w, stride, padding, cols)
+    out = _nchw(kernels.conv2d_fwd(_nhwc(x), w, stride, padding, cols))
     assert np.array_equal(out, _conv2d_fwd_reference(x, w, stride, padding))
     g = rng.standard_normal(out.shape)
     ref_gx, ref_gw = _conv2d_bwd_reference(x, w, g, stride, padding)
-    assert np.array_equal(kernels.conv2d_bwd_w(x, w, g, stride, padding, cols), ref_gw)
-    gx, gw = kernels.conv2d_bwd(x, w, g, stride, padding, cols)
-    assert np.array_equal(gx, ref_gx)
+    gw_only = kernels.conv2d_bwd_w(_nhwc(x), w, _nhwc(g), stride, padding, cols)
+    assert np.array_equal(gw_only, ref_gw)
+    gx, gw = kernels.conv2d_bwd(_nhwc(x), w, _nhwc(g), stride, padding, cols)
+    assert np.array_equal(_nchw(gx), ref_gx)
     assert np.array_equal(gw, ref_gw)
 
 
@@ -136,9 +152,9 @@ def _track_im2col(monkeypatch):
 def test_im2col_matrix_dies_with_an_untaped_conv(monkeypatch):
     refs = _track_im2col(monkeypatch)
     rng = np.random.default_rng(43)
-    x = Tensor(rng.standard_normal((2, 3, 6, 5)))
+    x = Tensor(_nhwc(rng.standard_normal((2, 3, 6, 5))))
     out = conv2d(x, Tensor(rng.standard_normal((4, 3, 3, 3))), 1, 1)
-    assert out.shape == (2, 4, 6, 5)
+    assert out.shape == (2, 6, 5, 4)
     assert len(refs) == 1 and refs[0]() is None
 
 
@@ -146,7 +162,7 @@ def test_im2col_matrix_dies_with_an_untaped_conv(monkeypatch):
 def test_im2col_matrix_lives_on_the_tape_until_backward(monkeypatch, requires_grad):
     refs = _track_im2col(monkeypatch)
     rng = np.random.default_rng(47)
-    x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=requires_grad)
+    x = Tensor(_nhwc(rng.standard_normal((2, 3, 6, 5))), requires_grad=requires_grad)
     w = Tensor(rng.standard_normal((4, 3, 3, 3)))
     tape = Tape()
     loss = sum_all(conv2d(x, w, 1, 1, tape), tape)
@@ -176,16 +192,17 @@ def _meanpool2_bwd_reference(x, gout):
 def test_mean_pool_bits_match_reference_formulas(shape):
     rng = np.random.default_rng(29)
     x = rng.standard_normal(shape)
-    out = kernels.meanpool2_fwd(x)
+    out = _nchw(kernels.meanpool2_fwd(_nhwc(x)))
     assert np.array_equal(out, _meanpool2_fwd_reference(x))
     g = rng.standard_normal(out.shape)
-    assert np.array_equal(kernels.meanpool2_bwd(x, g), _meanpool2_bwd_reference(x, g))
+    gx = _nchw(kernels.meanpool2_bwd(_nhwc(x), _nhwc(g)))
+    assert np.array_equal(gx, _meanpool2_bwd_reference(x, g))
 
 
 def test_conv_identity_kernel():
     x = np.arange(16.0).reshape(1, 1, 4, 4)
     w = np.ones((1, 1, 1, 1))
-    out = _fwd(x, w, 1, 0)
+    out = _nchw(_fwd(_nhwc(x), w, 1, 0))
     np.testing.assert_array_equal(out, x)
 
 
@@ -193,18 +210,18 @@ def test_conv_hand_value():
     # [[1,2],[3,4]] correlated with [[1,0],[0,1]] -> 1*1 + 4*1 = 5
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
     w = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
-    out = _fwd(x, w, 1, 0)
+    out = _nchw(_fwd(_nhwc(x), w, 1, 0))
     np.testing.assert_array_equal(out, [[[[5.0]]]])
 
 
 def test_conv_same_padding_shape():
     x = np.zeros((1, 1, 4, 4))
     w = np.zeros((1, 1, 3, 3))
-    assert _fwd(x, w, 1, 1).shape == (1, 1, 4, 4)
+    assert _nchw(_fwd(_nhwc(x), w, 1, 1)).shape == (1, 1, 4, 4)
 
 
 def test_conv_kernel_too_large():
-    x = Tensor(np.zeros((1, 1, 2, 2)))
+    x = Tensor(_nhwc(np.zeros((1, 1, 2, 2))))
     w = Tensor(np.zeros((1, 1, 5, 5)))
     with pytest.raises(ShapeError):
         conv2d(x, w, stride=1, padding=1)
@@ -212,7 +229,7 @@ def test_conv_kernel_too_large():
 
 def test_conv_gradcheck():
     rng = np.random.default_rng(23)
-    x = Tensor(rng.standard_normal((1, 2, 5, 5)))
+    x = Tensor(_nhwc(rng.standard_normal((1, 2, 5, 5))))
     w = Tensor(rng.standard_normal((2, 2, 3, 3)))
     tape = Tape()
     loss = sum_all(conv2d(x, w, 1, 1, tape), tape)
@@ -232,16 +249,31 @@ def test_conv_gradcheck():
 
 
 def test_mean_pool_value_and_odd_crop():
-    x = Tensor(np.arange(18.0).reshape(1, 1, 3, 6))
+    x = Tensor(_nhwc(np.arange(18.0).reshape(1, 1, 3, 6)))
     out = mean_pool2(x)
     # rows 0-1 of each 2x2 block; third row dropped
     expected = np.array([[[[3.5, 5.5, 7.5]]]])
-    np.testing.assert_array_equal(out.data, expected)
+    np.testing.assert_array_equal(_nchw(out.data), expected)
 
 
 def test_mean_pool_gradient_spreads_quarter():
-    x = Tensor(np.zeros((1, 1, 4, 4)))
+    x = Tensor(_nhwc(np.zeros((1, 1, 4, 4))))
     tape = Tape()
     loss = sum_all(mean_pool2(x, tape), tape)
     tape.backward(loss)
-    np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
+    np.testing.assert_allclose(_nchw(x.grad), np.full((1, 1, 4, 4), 0.25))
+
+
+def test_channel_bias_gradient_sums_in_channel_first_order():
+    rng = np.random.default_rng(53)
+    g_nchw = rng.standard_normal((32, 8, 14, 14))
+    x = Tensor(rng.standard_normal((32, 14, 14, 8)))
+    b = Tensor(rng.standard_normal(8))
+    tape = Tape()
+    out = bias_add(x, b, tape)
+    # loss = <out, G>, so the output gradient is G exactly
+    flat = reshape(out, (1, out.size), tape)
+    loss = reshape(matmul(flat, Tensor(_nhwc(g_nchw).reshape(-1, 1)), tape), (), tape)
+    tape.backward(loss)
+    assert np.array_equal(x.grad, _nhwc(g_nchw))
+    assert np.array_equal(b.grad, g_nchw.sum(axis=(0, 2, 3)))

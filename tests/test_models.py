@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from anyprune import tensor as T
 from anyprune.errors import ModelSpecError, ShapeError
 from anyprune.models import (
     ModelSpec,
@@ -117,6 +118,47 @@ def test_convnet_registry_and_forward():
     assert logits.shape == (2, 3)
     prunable = {e.name for e in model.registry.prunable()}
     assert prunable == {"conv0_w", "conv1_w", "fc0_w", "fc1_w"}
+
+
+def _channel_first_features(model, x):
+    """The conv stack's output by direct channel-first loops, flattened row-major."""
+    h = x.reshape(x.shape[0], *model.spec.input_shape)
+    for i, (_, k, stride, pad) in enumerate(model.spec.conv_stack):
+        w = model.registry[f"conv{i}_w"].tensor.data
+        b = model.registry[f"conv{i}_b"].tensor.data
+        hp = np.pad(h, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        ho, wo = (hp.shape[2] - k) // stride + 1, (hp.shape[3] - k) // stride + 1
+        out = np.empty((h.shape[0], w.shape[0], ho, wo))
+        for r in range(ho):
+            for c in range(wo):
+                window = hp[:, :, r * stride : r * stride + k, c * stride : c * stride + k]
+                out[:, :, r, c] = np.einsum("bcuv,ocuv->bo", window, w)
+        h = np.maximum(out + b[None, :, None, None], 0.0)
+        h2, w2 = h.shape[2] // 2, h.shape[3] // 2
+        blocks = h[:, :, : 2 * h2, : 2 * w2].reshape(h.shape[0], h.shape[1], h2, 2, w2, 2)
+        h = blocks.mean(axis=(3, 5))
+    return h.reshape(h.shape[0], -1)
+
+
+def test_convnet_flatten_hands_fc0_channel_first_features(monkeypatch):
+    model = build_model(convnet_spec((2, 9, 8), (3, 4), 3, 1, 1, (5,), 3), seed=4)
+    rng = np.random.default_rng(6)
+    for i in range(2):
+        model.registry[f"conv{i}_b"].tensor.data[:] = rng.standard_normal(3 + i)
+    x = rng.standard_normal((3, 2 * 9 * 8))
+    fc_inputs = []
+    real = T.matmul
+
+    def recording(a, b, tape=None):
+        fc_inputs.append(a.data.copy())
+        return real(a, b, tape)
+
+    monkeypatch.setattr(T, "matmul", recording)
+    model.forward(x)
+    assert fc_inputs[0].shape == (3, 4 * 2 * 2)
+    np.testing.assert_allclose(
+        fc_inputs[0], _channel_first_features(model, x), rtol=1e-12, atol=1e-12
+    )
 
 
 def test_convnet_collapsed_feature_map_rejected():

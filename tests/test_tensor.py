@@ -16,6 +16,7 @@ from anyprune.tensor import (
     hvp_fd,
     matmul,
     relu,
+    reshape,
     softmax_cross_entropy,
     sum_all,
     tensor_randn,
@@ -185,7 +186,7 @@ class TestInputGradientSkip:
         "op,x_shape,w_shape",
         [
             (lambda x, w, tape: matmul(x, w, tape), (5, 4), (4, 3)),
-            (lambda x, w, tape: conv2d(x, w, 1, 1, tape), (2, 3, 6, 5), (4, 3, 3, 3)),
+            (lambda x, w, tape: conv2d(x, w, 1, 1, tape), (2, 6, 5, 3), (4, 3, 3, 3)),
         ],
         ids=["matmul", "conv2d"],
     )
@@ -213,6 +214,20 @@ class TestRelu:
         loss = sum_all(out, tape)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+
+
+class TestReshape:
+    def test_permuted_reshape_and_its_gradient(self):
+        rng = np.random.default_rng(37)
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)))
+        g = rng.standard_normal((2, 60))
+        tape = Tape()
+        out = reshape(x, (2, 60), tape, axes=(0, 3, 1, 2))
+        np.testing.assert_array_equal(out.data, x.data.transpose(0, 3, 1, 2).reshape(2, 60))
+        # loss = <out, g>, so the output gradient is g exactly
+        flat = reshape(out, (1, 120), tape)
+        tape.backward(reshape(matmul(flat, Tensor(g.reshape(-1, 1)), tape), (), tape))
+        np.testing.assert_array_equal(x.grad, g.reshape(2, 5, 3, 4).transpose(0, 2, 3, 1))
 
 
 def _quadratic_grad(w, diag):
