@@ -48,6 +48,8 @@ def _sweep_one(job):
 
 
 def _cmd_sweep(args):
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     names = sorted(
         n for n in os.listdir(args.config_dir)
         if os.path.isfile(os.path.join(args.config_dir, n)) and not n.startswith(".")
@@ -65,8 +67,10 @@ def _cmd_sweep(args):
         writers[outdir] = path
         check_run_dir(outdir)
         jobs.append((path, parse_config(path, seed_override=args.seed), outdir))
-    if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    # the pool starts every worker up front, so start no more than there are jobs
+    workers = min(args.parallel, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             errors = list(pool.map(_sweep_one, jobs))
     else:
         errors = [_sweep_one(job) for job in jobs]
@@ -107,7 +111,7 @@ def build_parser():
         help="base output directory (default runs/); an existing run directory in it is "
         "replaced only if it holds nothing but run artifacts",
     )
-    p_sweep.add_argument("--parallel", type=int, default=1, help="independent runs in parallel")
+    p_sweep.add_argument("--parallel", type=int, default=1, help="independent runs in parallel (>= 1)")
     p_sweep.add_argument("--seed", type=int, default=None, help="override the master seed")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -8,6 +8,12 @@ im2col matrix on the tape only until its VJP has formed gw. Everything runs in
 64-bit floats with explicit shape checks and no implicit broadcasting except
 bias addition.
 
+``bias_add`` and ``relu`` overwrite their input's data and return a tensor on
+the same buffer, so a dense or conv layer holds one activation array: pass them
+only a fresh op output that nothing else reads. The tape hands each VJP a
+gradient that nothing else holds, so a VJP may overwrite it (relu masks it in
+place).
+
 Image activations are channel-last, ``[B, H, W, C]``: ``conv2d``,
 ``mean_pool2`` and the 4-d ``bias_add`` take and return that layout. The 4-d
 bias gradient sums a channel-first copy of ``g`` only to keep the artifacts'
@@ -140,20 +146,23 @@ def matmul(a, b, tape=None):
 def bias_add(x, b, tape=None):
     """Add a per-column (2-d) or per-channel (4-d [B,H,W,C]) bias vector.
 
-    The single sanctioned broadcast in the package.
+    The single sanctioned broadcast in the package. Overwrites ``x.data`` with
+    the sum and returns a tensor on the same buffer: pass only a fresh op
+    output.
     """
     if x.data.ndim not in (2, 4):
         raise ShapeError(f"bias_add supports 2-d or 4-d inputs, got {x.shape}")
     if b.shape != x.shape[-1:]:
         raise ShapeError(f"bias {b.shape} does not match the last axis of {x.shape}")
     if x.data.ndim == 2:
-        out = Tensor(x.data + b.data)
+        x.data += b.data
     else:
         # one [H, W, C] bias map for every image: numpy then adds in long
         # runs, where broadcasting b itself would add C-wide ones
         bias_map = np.empty(x.shape[1:])
         bias_map[...] = b.data
-        out = Tensor(x.data + bias_map)
+        x.data += bias_map
+    out = Tensor(x.data)
     if tape is not None:
         def bwd(g):
             if g.ndim == 2:
@@ -166,10 +175,15 @@ def bias_add(x, b, tape=None):
 
 
 def relu(x, tape=None):
-    out = Tensor(np.maximum(x.data, 0.0))
+    """max(x, 0), written over ``x.data``: pass only a fresh op output.
+
+    The VJP masks the gradient it is handed in place; ``out > 0`` is the mask
+    ``x > 0`` (NaN and -0.0 included), so the bits are those of ``g * (x > 0)``.
+    """
+    out = Tensor(np.maximum(x.data, 0.0, out=x.data))
     if tape is not None:
         def bwd(g):
-            return (g * (x.data > 0.0),)
+            return (np.multiply(g, out.data > 0.0, out=g),)
 
         tape.record("relu", (x,), out, bwd)
     return out

@@ -585,3 +585,46 @@ class TestCli:
         assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "2"]) == 0
         assert (out / "s1" / "summary.json").exists()
         assert (out / "s2" / "summary.json").exists()
+
+    def test_sweep_parallel_below_one_exits_1_and_runs_nothing(self, tmp_path, capsys, monkeypatch):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a.cfg").write_text(SMALL_RUN)
+
+        def must_not_run(config, outdir):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("anyprune.cli._execute", must_not_run)
+        out = tmp_path / "out"
+        for parallel in ("0", "-2"):
+            assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", parallel]) == 1
+            assert "--parallel must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_starts_no_more_workers_than_configs(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "s1.cfg").write_text(SMALL_RUN)
+        (cfg_dir / "s2.cfg").write_text(SMALL_RUN)
+        pools = []
+
+        class SerialPool:  # records its arguments and starts no process
+            def __init__(self, **kwargs):
+                pools.append(kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        ran = []
+        monkeypatch.setattr("anyprune.cli.concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("anyprune.cli._execute", lambda config, outdir: ran.append(outdir))
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "3"]) == 0
+        assert pools == [{"max_workers": 2}]
+        assert ran == [str(out / "s1"), str(out / "s2")]

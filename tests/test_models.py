@@ -1,5 +1,7 @@
 """Model construction, registry bookkeeping, and forward-pass contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,74 @@ def test_predict_tie_breaks_to_smaller_class():
     model.registry["fc0_b"].tensor.data[:] = 0.0
     preds = model.predict(np.ones((4, 2)))
     np.testing.assert_array_equal(preds, np.zeros(4, dtype=np.int64))
+
+
+def _bias_add_out_of_place(x, b, tape=None):
+    # the out-of-place bias_add that tensor.bias_add replaced
+    if x.data.ndim == 2:
+        out = T.Tensor(x.data + b.data)
+    else:
+        bias_map = np.empty(x.shape[1:])
+        bias_map[...] = b.data
+        out = T.Tensor(x.data + bias_map)
+    if tape is not None:
+        def bwd(g):
+            if g.ndim == 2:
+                return g, g.sum(axis=0)
+            return g, np.ascontiguousarray(g.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
+
+        tape.record("bias_add", (x, b), out, bwd)
+    return out
+
+
+def _relu_out_of_place(x, tape=None):
+    # the out-of-place relu that tensor.relu replaced
+    out = T.Tensor(np.maximum(x.data, 0.0))
+    if tape is not None:
+        def bwd(g):
+            return (g * (x.data > 0.0),)
+
+        tape.record("relu", (x,), out, bwd)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, batch",
+    [
+        (mlp_spec(20, (16, 12), 5), 33),
+        (convnet_spec((2, 10, 10), (3, 4), 3, 1, 1, (7,), 4), 17),
+        (convnet_spec((1, 13, 13), (4,), 3, 2, 0, (), 3), 19),
+    ],
+    ids=["mlp", "convnet_pad1_stride1_hidden_head", "convnet_pad0_stride2"],
+)
+def test_in_place_activations_keep_every_bit(spec, batch, monkeypatch):
+    rng = np.random.default_rng(71)
+    x = rng.standard_normal((batch, *spec.input_shape))
+    y = rng.integers(0, spec.class_count, size=batch)
+    model = build_model(spec, seed=3)
+    loss, grads, logits = model.loss_and_grads(x, y)
+    monkeypatch.setattr(T, "bias_add", _bias_add_out_of_place)
+    monkeypatch.setattr(T, "relu", _relu_out_of_place)
+    ref_loss, ref_grads, ref_logits = model.loss_and_grads(x, y)
+    assert np.array_equal(np.float64(loss), np.float64(ref_loss))
+    assert np.array_equal(logits, ref_logits)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def test_one_activation_buffer_per_layer_bounds_the_gradient_peak():
+    # the prune_wide MLP on a scoring-sized batch; one [N, 1024] float64
+    # buffer is 16 MiB, and the out-of-place bias_add and relu peaked at ~89 MiB
+    model = build_model(mlp_spec(196, (1024, 512), 10), seed=0)
+    rng = np.random.default_rng(72)
+    x = rng.standard_normal((2048, 196))
+    y = rng.integers(0, 10, size=2048)
+    model.loss_and_grads(x, y)  # warm
+    tracemalloc.start()
+    try:
+        model.loss_and_grads(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2048 * 1024 * 8, f"peak {peak / 2**20:.1f} MiB"

@@ -12,6 +12,7 @@ from anyprune.pruning import SparsityMask
 from anyprune.tensor import (
     Tape,
     Tensor,
+    bias_add,
     conv2d,
     hvp_fd,
     matmul,
@@ -214,6 +215,44 @@ class TestRelu:
         loss = sum_all(out, tape)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+
+    def test_mask_keeps_the_bits_of_g_times_positive_input(self):
+        # pre-activations hold -0.0 and NaN; g is negative where relu is off,
+        # so g * 0.0 is -0.0 there, and g also holds NaN and infinities
+        x0 = np.array([[-2.0, -0.0, 0.0, np.nan, 3.0, 1e-300],
+                       [5.0, -np.inf, np.inf, -1.0, np.nan, -0.0]])
+        g = np.array([[-1.5, -2.0, -3.0, -4.0, -5.0, np.nan],
+                      [np.inf, -np.inf, np.nan, np.inf, 7.0, 0.5]])
+        with np.errstate(invalid="ignore"):  # inf * 0.0
+            expected = g * (x0 > 0.0)
+            x = Tensor(x0.copy())
+            tape = Tape()
+            out = relu(x, tape)
+            loss = Tensor(np.asarray(0.0))
+            tape.record("inject", (out,), loss, lambda _: (g.copy(),))
+            tape.backward(loss)
+        assert np.array_equal(x.grad.view(np.uint64), expected.view(np.uint64))
+
+
+class TestInPlaceActivations:
+    """bias_add and relu write into their input's buffer; their values do not change."""
+
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 4, 5, 6)])
+    def test_bias_add_shares_the_input_buffer(self, shape):
+        rng = np.random.default_rng(61)
+        x0 = rng.standard_normal(shape)
+        b = Tensor(rng.standard_normal(shape[-1]))
+        x = Tensor(x0.copy())
+        out = bias_add(x, b, Tape())
+        assert np.shares_memory(out.data, x.data)
+        assert np.array_equal(out.data, x0 + b.data)
+
+    def test_relu_shares_the_input_buffer(self):
+        x0 = np.random.default_rng(62).standard_normal((4, 3, 3, 2))
+        x = Tensor(x0.copy())
+        out = relu(x, Tape())
+        assert np.shares_memory(out.data, x.data)
+        assert np.array_equal(out.data, np.maximum(x0, 0.0))
 
 
 class TestReshape:
