@@ -161,6 +161,9 @@ def _validate(cfg):
         if not cond:
             raise ConfigError(message, field)
 
+    for key in ("seed", "seed_partition", "seed_init", "seed_pruning", "seed_shuffle"):
+        value = getattr(cfg, key)
+        check(value >= 0, key, f"must be >= 0, got {value}")
     check(cfg.replay in REPLAY_MODES, "replay", f"must be one of {REPLAY_MODES}")
     check(cfg.lr_mode in LR_MODES, "lr_mode", f"must be one of {LR_MODES}")
     if cfg.variant != "baseline":

@@ -1,17 +1,16 @@
 """Convolution and pooling inner loops, in numpy, on channel-last arrays.
 
 Activations are ``[B, H, W, C]`` (NHWC); kernels stay ``[Cout, Cin, kh, kw]``.
-The model's input and its flattened conv features change layout in
-``Model.forward``, nowhere else. A convolution builds one im2col patch matrix
-per call (:func:`im2col`) and serves both its forward and its kernel gradient
-gw with it. In this layout the forward output is the GEMM result reshaped, the
-output gradient is the GEMM operand of the input gradient as it stands, and
-the input gradient is the unpadded slice of a channel-last scatter buffer: no
-step transposes an activation. One copy here exists only to keep the
-artifacts' bits: gw multiplies a C-contiguous ``[Cout, B·Ho·Wo]`` copy of the
-output gradient, since BLAS sums its transposed view in another order
-(``tensor.bias_add`` keeps the other such copy). 2x2 mean pooling works on
-four strided slices of the input. Every kernel is deterministic.
+The model's input changes layout once, in ``Model.forward``, and the last
+pooled map is flattened as it stands, in (h, w, c) order. A convolution builds
+one im2col patch matrix per call (:func:`im2col`) and serves both its forward
+and its kernel gradient gw with it. In this layout the forward output is the
+GEMM result reshaped, the output gradient is the GEMM operand of the input
+gradient as it stands, and the input gradient is the unpadded slice of a
+channel-last scatter buffer: no step transposes an activation, and gw
+multiplies the transposed view of the output gradient without copying it. 2x2
+mean pooling works on four strided slices of the input. Every kernel is
+deterministic.
 
 Dense (matmul) layers do not live here: BLAS already is the fast path for them.
 """
@@ -67,12 +66,10 @@ def conv2d_fwd(x, w, stride, padding, cols):
     return out.reshape(x.shape[0], ho, wo, cout)
 
 
-def conv2d_bwd_w(x, w, gout, stride, padding, cols):
+def conv2d_bwd_w(w, gout, cols):
     """Kernel gradient gw of a conv2d output gradient ``gout``."""
     cout = w.shape[0]
-    # a copy, not the transposed view: BLAS sums the view in another order
-    g2 = np.ascontiguousarray(gout.reshape(-1, cout).T)  # [Cout, B·Ho·Wo]
-    return (g2 @ cols).reshape(w.shape)
+    return (gout.reshape(-1, cout).T @ cols).reshape(w.shape)
 
 
 def conv2d_bwd(x, w, gout, stride, padding, cols):
@@ -82,7 +79,7 @@ def conv2d_bwd(x, w, gout, stride, padding, cols):
     input gradient's buffers are not alive at the same time when the caller
     has let go of it too.
     """
-    gw = conv2d_bwd_w(x, w, gout, stride, padding, cols)
+    gw = conv2d_bwd_w(w, gout, cols)
     del cols
     b, h, wd, cin = x.shape
     _, ho, wo, cout = gout.shape
@@ -102,12 +99,6 @@ def meanpool2_fwd(x):
     h2, w2 = x.shape[1] // 2 * 2, x.shape[2] // 2 * 2
     a, b = x[:, 0:h2:2, 0:w2:2], x[:, 0:h2:2, 1:w2:2]
     c, d = x[:, 1:h2:2, 0:w2:2], x[:, 1:h2:2, 1:w2:2]
-    # These summation orders give the bits of numpy's channel-first
-    # x.reshape(b, c, ho, 2, wo, 2).mean(axis=(3, 5)), which sums a window in
-    # sequence when the output is one column wide and by rows otherwise.
-    # (Four -0.0 average to -0.0 here, to +0.0 there; relu outputs hold no -0.0.)
-    if w2 == 2:
-        return (((a + b) + c) + d) / 4
     return ((a + b) + (c + d)) / 4
 
 

@@ -162,8 +162,8 @@ class Model:
                 h = T.bias_add(h, self.registry[f"conv{i}_b"].tensor, tape)
                 h = T.relu(h, tape)
                 h = T.mean_pool2(h, tape)
-            # fc0 takes the features in (c, h, w) order
-            h = T.reshape(h, (h.shape[0], self.spec.flat_dim()), tape, axes=(0, 3, 1, 2))
+            # fc0 takes the features in (h, w, c) order
+            h = T.reshape(h, (h.shape[0], self.spec.flat_dim()), tape)
         n_dense = len(self.spec.dense_sizes()) - 1
         for i in range(n_dense):
             h = T.matmul(h, self.registry[f"fc{i}_w"].tensor, tape)

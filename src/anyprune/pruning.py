@@ -38,13 +38,6 @@ class SparsityMask:
     def full(cls, model):
         return cls({e.name: np.ones(e.tensor.shape) for e in model.registry.prunable()})
 
-    def support_subset_of(self, other):
-        """True when every kept position here is also kept in ``other``."""
-        return all(
-            not np.any((a == 1.0) & (other.arrays[name] == 0.0))
-            for name, a in self.arrays.items()
-        )
-
 
 def make_delta_schedule(tau, steps):
     """Per-megabatch sparsity exponents as a tuple: keep fraction 0.8**delta.

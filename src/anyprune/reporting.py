@@ -99,11 +99,6 @@ def write_summary_json(summary, path):
         f.write("\n")
 
 
-def read_summary_json(path):
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
-
-
 RUN_ARTIFACTS = frozenset((
     "config.resolved", "curves.csv", "megabatches.csv", "predictions.csv", "events.csv",
     "summary.json", "meta.json", "gen_gap.svg", "cer.svg", "layer_pruned.svg",

@@ -15,9 +15,7 @@ gradient that nothing else holds, so a VJP may overwrite it (relu masks it in
 place).
 
 Image activations are channel-last, ``[B, H, W, C]``: ``conv2d``,
-``mean_pool2`` and the 4-d ``bias_add`` take and return that layout. The 4-d
-bias gradient sums a channel-first copy of ``g`` only to keep the artifacts'
-bits: numpy sums the channel-last array in another order.
+``mean_pool2`` and the 4-d ``bias_add`` take and return that layout.
 """
 
 import numpy as np
@@ -165,10 +163,8 @@ def bias_add(x, b, tape=None):
     out = Tensor(x.data)
     if tape is not None:
         def bwd(g):
-            if g.ndim == 2:
-                return g, g.sum(axis=0)
-            # summed channel-first for the bits; see the module docstring
-            return g, np.ascontiguousarray(g.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
+            # batch axis first: a plain g.reshape(-1, C).sum(axis=0) is slower
+            return g, g.sum(axis=0).reshape(-1, g.shape[-1]).sum(axis=0)
 
         tape.record("bias_add", (x, b), out, bwd)
     return out
@@ -214,7 +210,7 @@ def conv2d(x, w, stride=1, padding=0, tape=None):
     if tape is not None:
         def bwd(g):
             if not x.requires_grad:
-                return None, kernels.conv2d_bwd_w(x.data, w.data, g, stride, padding, cols.pop())
+                return None, kernels.conv2d_bwd_w(w.data, g, cols.pop())
             return kernels.conv2d_bwd(x.data, w.data, g, stride, padding, cols.pop())
 
         tape.record("conv2d", (x, w), out, bwd)
@@ -236,31 +232,16 @@ def mean_pool2(x, tape=None):
     return out
 
 
-def reshape(x, shape, tape=None, axes=None):
-    """``x`` reshaped to ``shape``; with ``axes``, permuted first as by np.transpose."""
+def reshape(x, shape, tape=None):
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    axes = tuple(range(x.data.ndim)) if axes is None else tuple(axes)
-    src = x.data.transpose(axes)
-    out = Tensor(src.reshape(shape))
+    out = Tensor(x.data.reshape(shape))
     if tape is not None:
-        inverse = [axes.index(i) for i in range(len(axes))]
-
         def bwd(g):
-            return (g.reshape(src.shape).transpose(inverse),)
+            return (g.reshape(x.shape),)
 
         tape.record("reshape", (x,), out, bwd)
-    return out
-
-
-def sum_all(x, tape=None):
-    out = Tensor(x.data.sum())
-    if tape is not None:
-        def bwd(g):
-            return (np.broadcast_to(g, x.shape).copy() if x.shape else np.asarray(g),)
-
-        tape.record("sum_all", (x,), out, bwd)
     return out
 
 

@@ -20,6 +20,7 @@ from anyprune.pruning import SparsityMask, make_delta_schedule, prune_global
 from anyprune.reporting import read_megabatches_csv, write_run_dir
 from anyprune.rng import round_half_up
 from anyprune.tensor import hvp_fd, Tensor
+from helpers import support_subset
 
 
 @contextlib.contextmanager
@@ -126,7 +127,7 @@ class _ClosureObserver:
         self.prunes_checked = 0
 
     def on_prune(self, t, old_mask, new_mask):
-        assert new_mask.support_subset_of(old_mask), f"support grew at megabatch {t}"
+        assert support_subset(new_mask, old_mask), f"support grew at megabatch {t}"
         self.prunes_checked += 1
 
     def on_step(self, t, epoch, model, optim, mask):

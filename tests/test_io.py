@@ -30,7 +30,6 @@ from anyprune.models import build_model, mlp_spec
 from anyprune.optim import OptimState, sgd_momentum_step
 from anyprune.reporting import (
     CURVES_COLUMNS,
-    read_summary_json,
     write_run_dir,
     write_summary_json,
 )
@@ -115,6 +114,13 @@ class TestParseConfig:
         assert cfg.seed == 4
         assert cfg.seed_partition == 4
         assert cfg.seed_pruning == 9
+
+    @pytest.mark.parametrize(
+        "key", ["seed", "seed_partition", "seed_init", "seed_pruning", "seed_shuffle"]
+    )
+    def test_negative_seed_rejected_naming_the_key(self, key):
+        with pytest.raises(ConfigError, match=f"^{key}: must be >= 0, got -3$"):
+            parse_config(MINIMAL + f"{key} = -3\n")
 
     def test_file_source(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -323,7 +329,7 @@ class TestReporting:
         summary = summarize(log)
         path = tmp_path / "s.json"
         write_summary_json(summary, path)
-        assert read_summary_json(path) == dataclasses.asdict(summary)
+        assert json.loads(path.read_text(encoding="utf-8")) == dataclasses.asdict(summary)
 
     def test_reserialization_is_byte_identical(self, small_run_dir, tmp_path):
         outdir, log = small_run_dir
@@ -428,6 +434,21 @@ class TestCli:
         cfg.write_text(CONVNET + "conv_channels =\n")
         assert main(["run", str(cfg)]) == 1
         assert "config error: conv_channels: needs at least one conv layer" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1_and_writes_no_run(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a.cfg").write_text(SMALL_RUN)
+        (tmp_path / "neg.cfg").write_text(SMALL_RUN + "seed_init = -3\n")
+        out = tmp_path / "out"
+        for argv, key in (
+            (["run", str(tmp_path / "neg.cfg")], "seed_init"),
+            (["run", str(cfg_dir / "a.cfg"), "--seed", "-1"], "seed"),
+            (["sweep", str(cfg_dir), "--seed", "-1"], "seed"),
+        ):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert f"config error: {key}: must be >= 0" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "missing.cfg"

