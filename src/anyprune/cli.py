@@ -11,7 +11,7 @@ import sys
 from .config import parse_config, run_id
 from .errors import AnypruneError, ConfigError
 from .harness import run
-from .reporting import check_run_dir, emit_svg_from_dir, write_run_dir
+from .reporting import check_run_dir, emit_svg_from_dir, pruner_label, write_run_dir
 
 # failures that exit 2; a sweep records them per config and runs the rest
 RUNTIME_ERRORS = (AnypruneError, OSError, FloatingPointError)
@@ -21,7 +21,7 @@ def _execute(config, outdir):
     log = run(config)
     summary = write_run_dir(log, outdir)
     print(
-        f"{config.variant}/{config.pruner or 'none'} -> {outdir}  "
+        f"{config.variant}/{pruner_label(config)} -> {outdir}  "
         f"test_acc={summary.final_test_accuracy_pct:.2f}%  cer={summary.cer}  "
         f"gap={summary.final_generalization_gap_pp:.3f}pp  "
         f"({log.wall_clock_seconds:.1f}s)"

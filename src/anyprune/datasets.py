@@ -8,6 +8,7 @@ digit-glyph generator exists for producing self-contained IDX fixtures.
 """
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -204,7 +205,7 @@ def write_idx(x, y, images_path, labels_path, input_shape):
 
 
 def load_csv(path, label_column):
-    """Numeric-feature CSV with a header row and an integer label column."""
+    """Finite numeric-feature CSV with a header row and an integer label column."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -219,13 +220,16 @@ def load_csv(path, label_column):
             if len(row) != len(header):
                 raise FormatError(f"{path}:{line_no}: expected {len(header)} fields")
             try:
-                label = float(row[label_i])
-                vals = [float(v) for i, v in enumerate(row) if i != label_i]
+                cells = [float(v) for v in row]
             except ValueError as exc:
                 raise FormatError(f"{path}:{line_no}: non-numeric cell ({exc})") from None
+            for name, cell, v in zip(header, row, cells):
+                if not math.isfinite(v):
+                    raise FormatError(f"{path}:{line_no}: {name} cell {cell!r} is not finite")
+            label = cells.pop(label_i)
             if not label.is_integer():
                 raise FormatError(f"{path}:{line_no}: label {row[label_i]!r} is not an integer")
-            feats.append(vals)
+            feats.append(cells)
             labels.append(int(label))
     if not feats:
         raise FormatError(f"{path}: no data rows")

@@ -21,9 +21,9 @@ import numpy as np
 from . import tensor as T
 from .config import config_hash, run_id
 from .datasets import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, split_test
-from .errors import DataError, FormatError, ModelSpecError, NumericError
+from .errors import DataError, FormatError, NumericError
 from .metrics import error_count, generalization_gap
-from .models import build_model, convnet_spec, count_params, mlp_spec
+from .models import CHUNK, ModelSpec, build_model, count_params
 from .optim import OptimState, sgd_momentum_step
 from .pruning import (
     SparsityMask,
@@ -119,13 +119,13 @@ def lr_at(config, t, epoch):
     return config.lr0
 
 
-def evaluate(model, x, y, chunk=2048):
+def evaluate(model, x, y):
     """Exact counts plus mean loss on a labelled set, deterministically."""
     n = x.shape[0]
     correct = 0
     loss_sum = 0.0
-    for start in range(0, n, chunk):
-        xb, yb = x[start : start + chunk], y[start : start + chunk]
+    for start in range(0, n, CHUNK):
+        xb, yb = x[start : start + CHUNK], y[start : start + CHUNK]
         logits = model.forward(xb)
         loss = T.softmax_cross_entropy(logits, yb)
         correct += int((np.argmax(logits.data, axis=1) == yb).sum())
@@ -235,17 +235,13 @@ def dataset_for_config(config):
 
 
 def model_spec_for_config(config, dataset):
-    if config.model == "mlp":
-        d = int(np.prod(dataset.input_shape))
-        return mlp_spec(d, config.mlp_hidden, dataset.class_count)
-    if len(dataset.input_shape) != 3:
-        raise ModelSpecError(
-            f"convnet needs image-shaped inputs, dataset provides {dataset.input_shape}"
-        )
-    return convnet_spec(
-        dataset.input_shape, config.conv_channels, config.conv_kernel,
-        config.conv_stride, config.conv_padding, config.head_hidden,
-        dataset.class_count,
+    return ModelSpec(
+        dataset.input_shape, dataset.class_count,
+        hidden=config.mlp_hidden or config.head_hidden or (),  # None where not applicable
+        conv_stack=tuple(
+            (c, config.conv_kernel, config.conv_stride, config.conv_padding)
+            for c in config.conv_channels or ()
+        ),
     )
 
 

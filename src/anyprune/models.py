@@ -1,7 +1,9 @@
-"""Desk-scale classifiers: an MLP and a small convnet.
+"""Desk-scale classifiers: ``ModelSpec(input_shape, class_count, hidden, conv_stack)``.
 
-Both expose an ordered parameter registry whose entries carry a prunable flag:
-weight matrices and convolution kernels are prunable, biases are not.
+An MLP is the spec with no conv layers; a small convnet puts a conv/relu/pool
+stack before the same dense layers. Every model exposes an ordered parameter
+registry whose entries carry a prunable flag: weight matrices and convolution
+kernels are prunable, biases are not.
 """
 
 import math
@@ -13,85 +15,49 @@ from . import tensor as T
 from .errors import ModelSpecError, ShapeError
 from .kernels import conv2d_output_hw
 
+# rows per forward call when predicting or evaluating a whole set
+CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative description of a classifier.
 
-    ``layer_sizes`` drives the MLP (input dim through class count);
     ``conv_stack`` holds (out_channels, kernel, stride, padding) per conv
-    layer, each followed by relu and 2x2 mean pooling, before a dense head of
-    ``head_hidden`` sizes and the final class layer.
+    layer, each followed by relu and 2x2 mean pooling, and needs a
+    (channels, h, w) ``input_shape``. Dense layers of ``hidden`` widths and
+    the final class layer follow on the flattened features.
     """
 
-    kind: str
     input_shape: tuple
     class_count: int
-    layer_sizes: tuple = ()
+    hidden: tuple = ()
     conv_stack: tuple = ()
-    head_hidden: tuple = ()
 
     def __post_init__(self):
         if self.class_count < 2:
             raise ModelSpecError(f"class_count must be >= 2, got {self.class_count}")
-        if self.kind == "mlp":
-            if len(self.layer_sizes) < 2:
-                raise ModelSpecError("mlp needs at least input and output sizes")
-            if any(s < 1 for s in self.layer_sizes):
-                raise ModelSpecError(f"layer sizes must be positive: {self.layer_sizes}")
-            d = int(np.prod(self.input_shape))
-            if self.layer_sizes[0] != d:
-                raise ModelSpecError(
-                    f"first layer size {self.layer_sizes[0]} != input dim {d}"
-                )
-            if self.layer_sizes[-1] != self.class_count:
-                raise ModelSpecError(
-                    f"final layer size {self.layer_sizes[-1]} != class count {self.class_count}"
-                )
-        elif self.kind == "convnet":
-            if len(self.input_shape) != 3:
-                raise ModelSpecError(
-                    f"convnet needs a (channels, h, w) input shape, got {self.input_shape}"
-                )
-            if not self.conv_stack:
-                raise ModelSpecError("convnet needs at least one conv layer")
-            self.flat_dim()  # raises if any stage collapses below 2x2
-        else:
-            raise ModelSpecError(f"unknown model kind {self.kind!r}")
+        if any(s < 1 for s in (*self.input_shape, *self.hidden)):
+            raise ModelSpecError(f"sizes must be positive: {self.input_shape}, {self.hidden}")
+        if self.conv_stack and len(self.input_shape) != 3:
+            raise ModelSpecError(
+                f"conv layers need a (channels, h, w) input shape, got {self.input_shape}"
+            )
+        self.flat_dim()  # raises if any stage collapses below 2x2
 
     def flat_dim(self):
         """Flattened feature count after the conv/pool stack."""
-        c, h, w = self.input_shape
+        shape = self.input_shape
         for cout, k, stride, pad in self.conv_stack:
-            h, w = conv2d_output_hw(h, w, k, k, stride, pad)
+            h, w = conv2d_output_hw(shape[1], shape[2], k, k, stride, pad)
             if h < 2 or w < 2:
                 raise ModelSpecError(f"feature map collapsed to {h}x{w} before pooling")
-            h, w = h // 2, w // 2
-            c = cout
-        return c * h * w
+            shape = (cout, h // 2, w // 2)
+        return int(np.prod(shape))
 
     def dense_sizes(self):
         """Dense layer widths from the dense input through the class count."""
-        if self.kind == "mlp":
-            return self.layer_sizes
-        return (self.flat_dim(), *self.head_hidden, self.class_count)
-
-
-def mlp_spec(input_dim, hidden, class_count):
-    sizes = (int(input_dim), *[int(h) for h in hidden], int(class_count))
-    return ModelSpec(
-        kind="mlp", input_shape=(int(input_dim),), class_count=int(class_count),
-        layer_sizes=sizes,
-    )
-
-
-def convnet_spec(input_shape, channels, kernel, stride, padding, head_hidden, class_count):
-    stack = tuple((int(c), int(kernel), int(stride), int(padding)) for c in channels)
-    return ModelSpec(
-        kind="convnet", input_shape=tuple(int(s) for s in input_shape),
-        class_count=int(class_count), conv_stack=stack,
-        head_hidden=tuple(int(h) for h in head_hidden),
-    )
+        return (self.flat_dim(), *self.hidden, self.class_count)
 
 
 @dataclass
@@ -151,7 +117,7 @@ class Model:
             raise ShapeError(
                 f"input features {x.shape[1:]} do not match model input {self.spec.input_shape}"
             )
-        if self.spec.kind == "mlp":
+        if not self.spec.conv_stack:
             h = T.Tensor(x.reshape(x.shape[0], d), requires_grad=False)
         else:
             # the conv stack runs channel-last; one channel needs no copy here
@@ -188,12 +154,12 @@ class Model:
         }
         return float(loss.data), grads, logits.data
 
-    def predict(self, x, chunk=2048):
+    def predict(self, x):
         """Argmax class indices; ties resolve to the smallest class index."""
         x = np.asarray(x, dtype=np.float64)
         preds = []
-        for start in range(0, x.shape[0], chunk):
-            logits = self.forward(x[start : start + chunk])
+        for start in range(0, x.shape[0], CHUNK):
+            logits = self.forward(x[start : start + CHUNK])
             preds.append(np.argmax(logits.data, axis=1))
         return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 

@@ -32,16 +32,19 @@ def _fmt(v):
     return str(v)
 
 
-def _write_lines(path, rows):
+def _write_csv(path, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row))
-            f.write("\n")
+        csv.writer(f, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
+
+
+def pruner_label(config):
+    """The pruner name, or "none" for the unpruned baseline."""
+    return config.pruner or "none"
 
 
 def write_curves_csv(log, path):
     """Per-epoch training curves with the fixed 13-column schema."""
-    pruner = log.config.pruner if log.config.pruner else "none"
+    pruner = pruner_label(log.config)
     rows = [CURVES_COLUMNS]
     for r in log.epochs:
         rows.append((
@@ -50,18 +53,15 @@ def write_curves_csv(log, path):
             float(r.val_acc), float(r.val_loss), r.kept_count,
             float(r.kept_count / log.prunable_total),
         ))
-    _write_lines(path, rows)
-
-
-def megabatch_columns(layer_names):
-    return ("megabatch", "test_errors", "test_acc", "gen_gap") + tuple(
-        f"pruned_{name}" for name in layer_names
-    )
+    _write_csv(path, rows)
 
 
 def write_megabatches_csv(log, path):
     """Per-megabatch results plus one pruned-fraction column per prunable layer."""
-    rows = [megabatch_columns(log.layer_names)]
+    rows = [
+        ("megabatch", "test_errors", "test_acc", "gen_gap")
+        + tuple(f"pruned_{name}" for name in log.layer_names)
+    ]
     for r in log.megabatches:
         fractions = dict(r.layer_pruned)
         rows.append(
@@ -72,7 +72,7 @@ def write_megabatches_csv(log, path):
             )
             + tuple(float(fractions[name]) for name in log.layer_names)
         )
-    _write_lines(path, rows)
+    _write_csv(path, rows)
 
 
 def write_predictions_csv(log, path):
@@ -80,16 +80,14 @@ def write_predictions_csv(log, path):
     for r in log.megabatches:
         for j, pred in enumerate(r.predictions):
             rows.append((r.megabatch, j, int(log.test_labels[j]), int(pred)))
-    _write_lines(path, rows)
+    _write_csv(path, rows)
 
 
 def write_events_csv(log, path):
     rows = [("megabatch", "seq", "kind", "detail")]
     for e in log.events:
         rows.append((e.megabatch, e.seq, e.kind, json.dumps(e.detail, sort_keys=True)))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerows(rows)
+    _write_csv(path, rows)
 
 
 def write_summary_json(summary, path):
@@ -167,7 +165,7 @@ def _write_artifacts(log, outdir):
         "run_id": log.run_id,
         "config_hash": log.config_hash,
         "variant": log.config.variant,
-        "pruner": log.config.pruner if log.config.pruner else "none",
+        "pruner": pruner_label(log.config),
         "wall_clock_seconds": log.wall_clock_seconds,
         "version": __version__,
     }
@@ -187,10 +185,6 @@ def _read_csv(path):
         reader = csv.reader(f)
         header = next(reader)
         return header, [dict(zip(header, row)) for row in reader]
-
-
-def read_curves_csv(path):
-    return _read_csv(path)[1]
 
 
 def read_megabatches_csv(path):
@@ -347,7 +341,7 @@ def _render_charts(gap_pts, cer_pts, layer_groups, layer_labels, outdir):
 
 def emit_svg_from_dir(rundir):
     """Render gen_gap.svg, cer.svg, and layer_pruned.svg from a run's CSVs."""
-    curves = read_curves_csv(os.path.join(rundir, "curves.csv"))
+    _, curves = _read_csv(os.path.join(rundir, "curves.csv"))
     mb_rows, layer_cols = read_megabatches_csv(os.path.join(rundir, "megabatches.csv"))
 
     gap_pts = [

@@ -15,7 +15,7 @@ from anyprune.config import parse_config
 from anyprune.datasets import gen_digits, write_idx
 from anyprune.harness import run
 from anyprune.metrics import error_count
-from anyprune.models import build_model, mlp_spec
+from anyprune.models import ModelSpec, build_model
 from anyprune.pruning import SparsityMask, make_delta_schedule, prune_global
 from anyprune.reporting import read_megabatches_csv, write_run_dir
 from anyprune.rng import round_half_up
@@ -39,7 +39,7 @@ def criterion(num, name):
 
 def _gradcheck_max_rel_err(seed, h=1e-6):
     rng = np.random.default_rng(10_000 + seed)
-    model = build_model(mlp_spec(5, (8,), 3), seed=seed)  # 75 params
+    model = build_model(ModelSpec((5,), 3, hidden=(8,)), seed=seed)  # 75 params
     x = rng.standard_normal((4, 5))
     y = rng.integers(0, 3, 4)
     _, grads, _ = model.loss_and_grads(x, y)
@@ -86,7 +86,7 @@ def test_criterion_2_hvp_oracle():
             assert np.linalg.norm(hv - want) / denom < 1e-6
 
         rng = np.random.default_rng(2)
-        model = build_model(mlp_spec(6, (9,), 3), seed=6)
+        model = build_model(ModelSpec((6,), 3, hidden=(9,)), seed=6)
         x = rng.standard_normal((12, 6))
         y = rng.integers(0, 3, 12)
         params = [e.tensor for e in model.registry]

@@ -9,7 +9,7 @@ from anyprune import harness
 from anyprune.config import parse_config
 from anyprune.errors import NumericError
 from anyprune.harness import run, train_megabatch
-from anyprune.models import build_model, mlp_spec
+from anyprune.models import ModelSpec, build_model
 from anyprune.pruning import keep_count, make_delta_schedule
 from anyprune.rng import round_half_up
 from anyprune.stream import build_stream, replay_view
@@ -237,7 +237,7 @@ class TestTrainMegabatch:
 
         dataset = dataset_for_config(cfg)
         stream = build_stream(dataset, cfg.megabatches, cfg.val_fraction, None, cfg.seed_partition)
-        model = build_model(mlp_spec(8, (12,), 3), seed=cfg.seed_init)
+        model = build_model(ModelSpec((8,), 3, hidden=(12,)), seed=cfg.seed_init)
         before = model.snapshot()
         snap, rec, records, gi = train_megabatch(
             model, None, replay_view(stream, 1, "full"), cfg, 1, epochs=range(0),

@@ -23,10 +23,10 @@ from anyprune.datasets import (
     load_idx,
     write_idx,
 )
-from anyprune.errors import ConfigError, FormatError
+from anyprune.errors import ConfigError, FormatError, ModelSpecError
 from anyprune.harness import run
 from anyprune.metrics import summarize
-from anyprune.models import build_model, mlp_spec
+from anyprune.models import ModelSpec, build_model
 from anyprune.optim import OptimState, sgd_momentum_step
 from anyprune.reporting import (
     CURVES_COLUMNS,
@@ -254,7 +254,7 @@ class TestSynthetic:
 
     def test_blobs_linearly_separable_via_probe(self):
         ds = gen_blobs(2, 50, 2, 0.1, seed=0, test_per_class=10)
-        model = build_model(mlp_spec(2, (), 2), seed=0)
+        model = build_model(ModelSpec((2,), 2), seed=0)
         state = OptimState(model.params(), lr=0.5, momentum=0.9)
         params = model.params()
         for _ in range(200):
@@ -287,6 +287,16 @@ class TestCsv:
         p.write_text("f1,f2,label\n1.0,2.0,0\n")
         with pytest.raises(FormatError):
             load_csv(p, "other")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_non_finite_cell_rejected_naming_the_line(self, tmp_path, cell, column):
+        p = tmp_path / "data.csv"
+        row = ["1.0", "2.0", "1"]
+        row[column] = cell
+        p.write_text("f1,f2,label\n1.0,2.0,0\n" + ",".join(row) + "\n3.0,4.0,1\n")
+        with pytest.raises(FormatError, match=f"{p}:3: .*{cell!r} is not finite"):
+            load_csv(p, "label")
 
 
 SMALL_RUN = """
@@ -449,6 +459,34 @@ class TestCli:
             assert main([*argv, "--out", str(out)]) == 1
             assert f"config error: {key}: must be >= 0" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_convnet_on_flat_input_exits_2_naming_the_shape(self, tmp_path, capsys):
+        # synthetic blobs are flat 16-feature vectors; only ModelSpec rejects them
+        with pytest.raises(ModelSpecError, match=r"input shape, got \(16,\)"):
+            run(parse_config(CONVNET))
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(CONVNET)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "input shape, got (16,)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_csv_cell_exits_2_naming_the_line(self, tmp_path, capsys, cell):
+        x = np.random.default_rng(3).standard_normal((200, 2))
+        rows = [f"{a},{b},{i % 2}" for i, (a, b) in enumerate(x)]
+        rows[57] = f"{cell},1.0,1"
+        data = tmp_path / "data.csv"
+        data.write_text("f1,f2,label\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(
+            "variant = baseline\nmegabatches = 2\nepochs = 2\nmlp_hidden = 8\n"
+            f"dataset = csv\ncsv_path = {data}\ncsv_label_column = label\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{data}:59: f1 cell {cell!r} is not finite" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "missing.cfg"

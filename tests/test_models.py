@@ -7,19 +7,13 @@ import pytest
 
 from anyprune import tensor as T
 from anyprune.errors import ModelSpecError, ShapeError
-from anyprune.models import (
-    ModelSpec,
-    build_model,
-    convnet_spec,
-    count_params,
-    mlp_spec,
-)
+from anyprune.models import ModelSpec, build_model, count_params
 from anyprune.pruning import SparsityMask, apply_mask
 from anyprune.tensor import softmax_cross_entropy
 
 
 def test_registry_prunable_flags_and_counts():
-    model = build_model(mlp_spec(4, (8,), 3), seed=0)
+    model = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=0)
     weights = [e for e in model.registry if e.prunable]
     biases = [e for e in model.registry if not e.prunable]
     assert [e.name for e in weights] == ["fc0_w", "fc1_w"]
@@ -36,8 +30,8 @@ def test_count_params_empty_registry():
 
 
 def test_build_determinism():
-    a = build_model(mlp_spec(4, (8,), 3), seed=5)
-    b = build_model(mlp_spec(4, (8,), 3), seed=5)
+    a = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=5)
+    b = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=5)
     for ea, eb in zip(a.registry, b.registry):
         assert ea.name == eb.name
         assert ea.prunable == eb.prunable
@@ -46,11 +40,11 @@ def test_build_determinism():
 
 def test_spec_dim_mismatch():
     with pytest.raises(ModelSpecError):
-        ModelSpec(kind="mlp", input_shape=(4,), class_count=3, layer_sizes=(4, 8))
+        ModelSpec((4,), 3, conv_stack=((2, 3, 1, 1),))
 
 
 def test_zero_weights_forward_gives_bias():
-    model = build_model(mlp_spec(3, (4,), 2), seed=0)
+    model = build_model(ModelSpec((3,), 2, hidden=(4,)), seed=0)
     for e in model.registry:
         if e.prunable:
             e.tensor.data[:] = 0.0
@@ -60,7 +54,7 @@ def test_zero_weights_forward_gives_bias():
 
 
 def test_identity_mlp_passes_positive_inputs():
-    model = build_model(mlp_spec(2, (), 2), seed=0)
+    model = build_model(ModelSpec((2,), 2), seed=0)
     model.registry["fc0_w"].tensor.data[:] = np.eye(2)
     model.registry["fc0_b"].tensor.data[:] = 0.0
     x = np.array([[0.5, 2.0], [1.0, 3.0]])
@@ -68,18 +62,18 @@ def test_identity_mlp_passes_positive_inputs():
 
 
 def test_forward_shape():
-    model = build_model(mlp_spec(4, (8,), 3), seed=1)
+    model = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=1)
     assert model.forward(np.zeros((3, 4))).shape == (3, 3)
 
 
 def test_forward_rejects_bad_width():
-    model = build_model(mlp_spec(4, (8,), 3), seed=1)
+    model = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=1)
     with pytest.raises(ShapeError):
         model.forward(np.zeros((3, 5)))
 
 
 def test_forward_does_not_mutate_params():
-    model = build_model(mlp_spec(4, (8,), 3), seed=1)
+    model = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=1)
     before = model.snapshot()
     model.forward(np.random.default_rng(0).standard_normal((6, 4)))
     for name, arr in before.items():
@@ -87,7 +81,7 @@ def test_forward_does_not_mutate_params():
 
 
 def test_all_ones_mask_preserves_logits():
-    model = build_model(mlp_spec(5, (6,), 3), seed=2)
+    model = build_model(ModelSpec((5,), 3, hidden=(6,)), seed=2)
     x = np.random.default_rng(1).standard_normal((4, 5))
     want = model.forward(x).data.copy()
     apply_mask(model, SparsityMask.full(model))
@@ -95,7 +89,7 @@ def test_all_ones_mask_preserves_logits():
 
 
 def test_loss_and_grads_returns_loss_grads_and_forward_logits():
-    model = build_model(convnet_spec((1, 8, 8), (3,), 3, 1, 1, (), 4), seed=1)
+    model = build_model(ModelSpec((1, 8, 8), 4, conv_stack=((3, 3, 1, 1),)), seed=1)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 1, 8, 8))
     y = rng.integers(0, 4, 5)
@@ -108,7 +102,7 @@ def test_loss_and_grads_returns_loss_grads_and_forward_logits():
 
 
 def test_convnet_registry_and_forward():
-    spec = convnet_spec((1, 8, 8), (4, 6), 3, 1, 1, (10,), 3)
+    spec = ModelSpec((1, 8, 8), 3, hidden=(10,), conv_stack=((4, 3, 1, 1), (6, 3, 1, 1)))
     model = build_model(spec, seed=0)
     names = [e.name for e in model.registry]
     assert names == [
@@ -143,7 +137,8 @@ def _channel_first_features(model, x):
 
 
 def test_convnet_flatten_hands_fc0_channel_last_features(monkeypatch):
-    model = build_model(convnet_spec((2, 9, 8), (3, 4), 3, 1, 1, (5,), 3), seed=4)
+    spec = ModelSpec((2, 9, 8), 3, hidden=(5,), conv_stack=((3, 3, 1, 1), (4, 3, 1, 1)))
+    model = build_model(spec, seed=4)
     rng = np.random.default_rng(6)
     for i in range(2):
         model.registry[f"conv{i}_b"].tensor.data[:] = rng.standard_normal(3 + i)
@@ -165,11 +160,11 @@ def test_convnet_flatten_hands_fc0_channel_last_features(monkeypatch):
 
 def test_convnet_collapsed_feature_map_rejected():
     with pytest.raises(ModelSpecError):
-        convnet_spec((1, 4, 4), (4, 4, 4), 3, 1, 1, (), 3)
+        ModelSpec((1, 4, 4), 3, conv_stack=((4, 3, 1, 1), (4, 3, 1, 1), (4, 3, 1, 1)))
 
 
 def test_predict_tie_breaks_to_smaller_class():
-    model = build_model(mlp_spec(2, (), 3), seed=0)
+    model = build_model(ModelSpec((2,), 3), seed=0)
     model.registry["fc0_w"].tensor.data[:] = 0.0
     model.registry["fc0_b"].tensor.data[:] = 0.0
     preds = model.predict(np.ones((4, 2)))
@@ -209,9 +204,9 @@ def _relu_out_of_place(x, tape=None):
 @pytest.mark.parametrize(
     "spec, batch",
     [
-        (mlp_spec(20, (16, 12), 5), 33),
-        (convnet_spec((2, 10, 10), (3, 4), 3, 1, 1, (7,), 4), 17),
-        (convnet_spec((1, 13, 13), (4,), 3, 2, 0, (), 3), 19),
+        (ModelSpec((20,), 5, hidden=(16, 12)), 33),
+        (ModelSpec((2, 10, 10), 4, hidden=(7,), conv_stack=((3, 3, 1, 1), (4, 3, 1, 1))), 17),
+        (ModelSpec((1, 13, 13), 3, conv_stack=((4, 3, 2, 0),)), 19),
     ],
     ids=["mlp", "convnet_pad1_stride1_hidden_head", "convnet_pad0_stride2"],
 )
@@ -234,7 +229,7 @@ def test_in_place_activations_keep_every_bit(spec, batch, monkeypatch):
 def test_one_activation_buffer_per_layer_bounds_the_gradient_peak():
     # the prune_wide MLP on a scoring-sized batch; one [N, 1024] float64
     # buffer is 16 MiB, and the out-of-place bias_add and relu peaked at ~89 MiB
-    model = build_model(mlp_spec(196, (1024, 512), 10), seed=0)
+    model = build_model(ModelSpec((196,), 10, hidden=(1024, 512)), seed=0)
     rng = np.random.default_rng(72)
     x = rng.standard_normal((2048, 196))
     y = rng.integers(0, 10, size=2048)

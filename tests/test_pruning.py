@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anyprune.errors import DataError, NumericError, ParameterError, RefinementError
-from anyprune.models import ParamRegistry, build_model, mlp_spec
+from anyprune.models import ModelSpec, ParamRegistry, build_model
 from anyprune.pruning import (
     SparsityMask,
     apply_mask,
@@ -142,7 +142,7 @@ class TestGrasp:
 
     def test_finite_on_random_mlp(self):
         rng = np.random.default_rng(4)
-        model = build_model(mlp_spec(5, (7,), 3), seed=1)
+        model = build_model(ModelSpec((5,), 3, hidden=(7,)), seed=1)
         mask = SparsityMask.full(model)
         x = rng.standard_normal((12, 5))
         y = rng.integers(0, 3, 12)
@@ -152,7 +152,7 @@ class TestGrasp:
 
     def test_scoring_does_not_move_params(self):
         rng = np.random.default_rng(6)
-        model = build_model(mlp_spec(5, (7,), 3), seed=2)
+        model = build_model(ModelSpec((5,), 3, hidden=(7,)), seed=2)
         mask = SparsityMask.full(model)
         before = model.snapshot()
         score_grasp(model, mask, rng.standard_normal((9, 5)), rng.integers(0, 3, 9))
@@ -334,7 +334,7 @@ class TestPruneGlobal:
 
 class TestApplyMaskAndLayerStats:
     def test_apply_identity_and_idempotence(self):
-        model = build_model(mlp_spec(4, (5,), 3), seed=0)
+        model = build_model(ModelSpec((4,), 3, hidden=(5,)), seed=0)
         before = model.snapshot()
         mask = SparsityMask.full(model)
         apply_mask(model, mask)
@@ -352,7 +352,7 @@ class TestApplyMaskAndLayerStats:
             np.testing.assert_array_equal(model.registry[name].tensor.data, arr)
 
     def test_single_survivor(self):
-        model = build_model(mlp_spec(3, (), 2), seed=0)
+        model = build_model(ModelSpec((3,), 2), seed=0)
         arr = np.zeros((3, 2))
         arr[1, 0] = 1.0
         apply_mask(model, SparsityMask({"fc0_w": arr}))
@@ -360,7 +360,7 @@ class TestApplyMaskAndLayerStats:
         assert np.count_nonzero(w) == 1
 
     def test_layer_fractions_partition(self):
-        model = build_model(mlp_spec(4, (5,), 2), seed=0)
+        model = build_model(ModelSpec((4,), 2, hidden=(5,)), seed=0)
         full = SparsityMask.full(model)
         assert all(frac == 0.0 for _, frac in layer_pruned_fraction(full, model.registry))
         rng = np.random.default_rng(1)
@@ -381,7 +381,7 @@ class TestApplyMaskAndLayerStats:
         assert pruned_by_layer == total - mask.kept_count
 
     def test_ten_weights_four_kept(self):
-        model = build_model(mlp_spec(5, (), 2), seed=0)
+        model = build_model(ModelSpec((5,), 2), seed=0)
         arr = np.zeros(10)
         arr[:4] = 1.0
         mask = SparsityMask({"fc0_w": arr.reshape(5, 2)})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anyprune.errors import LabelError, NumericError, ShapeError, TapeError
-from anyprune.models import build_model, mlp_spec
+from anyprune.models import ModelSpec, build_model
 from anyprune.optim import OptimState, sgd_momentum_step
 from anyprune.pruning import SparsityMask
 from anyprune.tensor import (
@@ -159,7 +159,7 @@ class TestBackward:
 
 def _mlp_gradcheck_max_rel_err(seed, hidden=(8,), d=5, c=3, batch=4, h=1e-6):
     rng = np.random.default_rng(1000 + seed)
-    model = build_model(mlp_spec(d, hidden, c), seed=seed)
+    model = build_model(ModelSpec((d,), c, hidden=hidden), seed=seed)
     x = rng.standard_normal((batch, d))
     y = rng.integers(0, c, batch)
     _, grads, _ = model.loss_and_grads(x, y)
@@ -293,7 +293,7 @@ class TestHvp:
 
     def test_eps_consistency_on_mlp(self):
         rng = np.random.default_rng(9)
-        model = build_model(mlp_spec(6, (8,), 3), seed=4)
+        model = build_model(ModelSpec((6,), 3, hidden=(8,)), seed=4)
         x = rng.standard_normal((10, 6))
         y = rng.integers(0, 3, 10)
         params = [e.tensor for e in model.registry]
