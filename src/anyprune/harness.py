@@ -306,6 +306,11 @@ def run(config, observer=None):
                 source = replay_view(stream, t, "none") if config.variant == "app_noreplay_snip" else view
                 pi_idx = draw_pi(source, config.pi_fraction, (config.seed_pruning, t))
                 pi_size = int(pi_idx.size)
+                if pi_size == 0:
+                    raise DataError(
+                        f"megabatch {t}: pi_fraction = {config.pi_fraction} of the view's "
+                        f"{source.train_idx.size} training samples is an empty scoring set"
+                    )
                 scores = selection_scores(
                     config.pruner, model, mask, dataset.x[pi_idx], dataset.y[pi_idx]
                 )

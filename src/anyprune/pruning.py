@@ -9,6 +9,11 @@ toward the smaller global flat index (registry order, then row-major offset).
 Selection is linear in the number of positions: a partition finds the
 threshold score, every position scoring above it is kept, and the positions
 tied at it fill the remaining slots in flat-index order.
+
+SNIP and GraSP take the mean loss gradient over the scoring set in slices of
+``SCORE_CHUNK`` rows. The scoring set grows with the replay view, and one
+taped call over all of it would hold every row's activations at once; in
+slices the scoring peak stays the same at any set size.
 """
 
 import numpy as np
@@ -22,6 +27,8 @@ from .errors import (
     ShapeError,
 )
 from .rng import STREAM_SCORE, rng_from, round_half_up
+
+SCORE_CHUNK = 256
 
 
 class SparsityMask:
@@ -63,9 +70,37 @@ def keep_count(delta, total):
     return max(1, round_half_up(0.8 ** float(delta) * total))
 
 
+def _mean_grads(model, x, y):
+    """Gradients of the mean loss over (x, y), as a name -> array mapping.
+
+    The set is taped one ``SCORE_CHUNK``-row slice at a time, and each
+    slice's mean gradients are weighted by its share of the rows and summed.
+    A set of at most ``SCORE_CHUNK`` rows is one slice of weight exactly 1.0,
+    so it keeps the bits of a single ``loss_and_grads`` call.
+    """
+    n = x.shape[0]
+    total = None
+    for start in range(0, n, SCORE_CHUNK):
+        stop = min(start + SCORE_CHUNK, n)
+        grads = model.loss_and_grads(x[start:stop], y[start:stop])[1]
+        # the tape hands back fresh buffers, so they are scaled and summed in place
+        for g in grads.values():
+            g *= (stop - start) / n
+        if total is None:
+            total = grads
+        else:
+            for name, g in grads.items():
+                total[name] += g
+    return total
+
+
 def score_snip(model, x, y):
-    """Connection sensitivity |grad * weight| of the mean loss over (x, y)."""
-    _, grads, _ = model.loss_and_grads(x, y)
+    """Connection sensitivity |grad * weight| of the mean loss over (x, y).
+
+    The gradient is taken in ``SCORE_CHUNK``-row slices, so the memory it
+    needs does not grow with the scoring set.
+    """
+    grads = _mean_grads(model, x, y)
     return {e.name: np.abs(grads[e.name] * e.tensor.data) for e in model.registry.prunable()}
 
 
@@ -75,15 +110,18 @@ def score_grasp(model, mask, x, y):
     Smaller is better for keeping: callers selecting with a keep-largest rule
     must negate. The direction vector is the loss gradient restricted to the
     active mask support (pruned coordinates are frozen, so perturbing them
-    would leak signal through dead connections).
+    would leak signal through dead connections). The gradient and both of
+    the Hessian-vector product's gradient calls are taken in
+    ``SCORE_CHUNK``-row slices, so the memory they need does not grow with
+    the scoring set.
     """
-    _, grads, _ = model.loss_and_grads(x, y)
+    grads = _mean_grads(model, x, y)
     params = [e.tensor for e in model.registry]
     v = [
         grads[e.name] * mask.arrays[e.name] if e.prunable else grads[e.name]
         for e in model.registry
     ]
-    hv = T.hvp_fd(lambda: list(model.loss_and_grads(x, y)[1].values()), params, v)
+    hv = T.hvp_fd(lambda: list(_mean_grads(model, x, y).values()), params, v)
     scores = {}
     for e, h in zip(model.registry, hv):
         if e.prunable:

@@ -488,6 +488,16 @@ class TestCli:
         assert not out.exists()
         assert f"{data}:59: f1 cell {cell!r} is not finite" in capsys.readouterr().err
 
+    def test_empty_scoring_set_exits_2_naming_the_megabatch_and_key(self, tmp_path, capsys):
+        text = (pathlib.Path(__file__).parents[1] / "configs" / "app_blobs.cfg").read_text()
+        cfg = tmp_path / "tiny_pi.cfg"
+        cfg.write_text(text + "pi_fraction = 0.001\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "megabatch 1: pi_fraction = 0.001 of the view's 112 training samples" in err
+
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "missing.cfg"
         cfg.write_text(

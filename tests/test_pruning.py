@@ -1,6 +1,7 @@
 """Pruning oracles: schedules, saliency scores, and global top-k selection."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from anyprune.errors import DataError, NumericError, ParameterError, RefinementError
 from anyprune.models import ModelSpec, ParamRegistry, build_model
 from anyprune.pruning import (
+    SCORE_CHUNK,
     SparsityMask,
+    _mean_grads,
     apply_mask,
     keep_count,
     layer_pruned_fraction,
@@ -167,6 +170,65 @@ class TestGrasp:
         # the unmasked direction would give 16 at the pruned position
         assert oriented["w"][0] == pytest.approx(4.0, rel=1e-6)
         assert oriented["w"][1] == pytest.approx(0.0, abs=1e-6)
+
+
+def _scoring_case(spec, n, seed):
+    rng = np.random.default_rng(seed)
+    model = build_model(spec, seed=seed)
+    x = rng.standard_normal((n, *spec.input_shape))
+    y = rng.integers(0, spec.class_count, n)
+    return model, x, y
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("n", [1, 37, SCORE_CHUNK])
+    def test_one_chunk_keeps_the_bits_of_one_call(self, n):
+        model, x, y = _scoring_case(ModelSpec((6,), 3, hidden=(9,)), n, seed=2)
+        want = model.loss_and_grads(x, y)[1]
+        got = _mean_grads(model, x, y)
+        assert list(got) == list(want)
+        for name, g in want.items():
+            np.testing.assert_array_equal(got[name], g, err_msg=name)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec((6,), 3, hidden=(9, 5)),
+        ModelSpec((1, 8, 8), 3, hidden=(6,), conv_stack=((4, 3, 1, 1),)),
+    ], ids=["mlp", "convnet_padding_1"])
+    def test_ragged_chunks_match_the_whole_batch(self, spec):
+        model, x, y = _scoring_case(spec, 2 * SCORE_CHUNK + 1, seed=5)
+        want = model.loss_and_grads(x, y)[1]
+        got = _mean_grads(model, x, y)
+        assert list(got) == list(want)
+        for name, g in want.items():
+            np.testing.assert_allclose(got[name], g, rtol=1e-12, atol=0.0, err_msg=name)
+
+    def test_chunked_snip_prunes_to_the_whole_batch_mask(self):
+        model, x, y = _scoring_case(ModelSpec((12,), 4, hidden=(32, 16)), 3 * SCORE_CHUNK + 17, seed=8)
+        mask = SparsityMask.full(model)
+        grads = model.loss_and_grads(x, y)[1]
+        whole = {e.name: np.abs(grads[e.name] * e.tensor.data) for e in model.registry.prunable()}
+        chunked = selection_scores("snip", model, mask, x, y)
+        for keep in (mask.kept_count // 2, keep_count(4.5, mask.kept_count)):
+            want = prune_global(mask, whole, keep)
+            got = prune_global(mask, chunked, keep)
+            for name, m in want.arrays.items():
+                np.testing.assert_array_equal(got.arrays[name], m, err_msg=f"{name}, keep={keep}")
+
+    @pytest.mark.parametrize("pruner", ["snip", "grasp"])
+    def test_scoring_peak_does_not_grow_with_the_scoring_set(self, pruner):
+        # the prune_wide MLP; the rows are allocated before tracing starts
+        model, x, y = _scoring_case(ModelSpec((196,), 10, hidden=(1024, 512)), 8192, seed=3)
+        mask = SparsityMask.full(model)
+        selection_scores(pruner, model, mask, x[:SCORE_CHUNK], y[:SCORE_CHUNK])  # warm-up
+        peaks = {}
+        for n in (2048, 8192):
+            tracemalloc.start()
+            try:
+                selection_scores(pruner, model, mask, x[:n], y[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8192] - peaks[2048] <= 2 ** 20, peaks
 
 
 class TestMagnitudeAndRandom:
