@@ -50,9 +50,12 @@ def _sweep_one(job):
 def _cmd_sweep(args):
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
+    try:
+        entries = os.listdir(args.config_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config directory: {exc}") from None
     names = sorted(
-        n for n in os.listdir(args.config_dir)
-        if os.path.isfile(os.path.join(args.config_dir, n)) and not n.startswith(".")
+        n for n in entries if os.path.isfile(os.path.join(args.config_dir, n)) and not n.startswith(".")
     )
     if not names:
         raise ConfigError(f"no config files in {args.config_dir}")

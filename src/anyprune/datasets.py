@@ -9,6 +9,7 @@ digit-glyph generator exists for producing self-contained IDX fixtures.
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -162,6 +163,14 @@ def _read_exact(f, n, path):
     return buf
 
 
+def _read_body(f, declared, path):
+    """The rest of ``f``, once the file holds exactly the ``declared`` bytes of its header."""
+    size = os.fstat(f.fileno()).st_size
+    if size != declared:
+        raise FormatError(f"{path}: header declares {declared} bytes, file holds {size}")
+    return f.read()
+
+
 def load_idx(images_path, labels_path):
     """Load an IDX image/label file pair; pixels scale to [0, 1] by /255."""
     with open(images_path, "rb") as f:
@@ -170,16 +179,12 @@ def load_idx(images_path, labels_path):
             raise FormatError(f"{images_path}: bad images magic 0x{magic:08x}")
         if count < 0 or rows < 1 or cols < 1:
             raise FormatError(f"{images_path}: invalid dimensions {count}x{rows}x{cols}")
-        raw = _read_exact(f, count * rows * cols, images_path)
-        if f.read(1):
-            raise FormatError(f"{images_path}: trailing bytes after image data")
+        raw = _read_body(f, 16 + count * rows * cols, images_path)
     with open(labels_path, "rb") as f:
         magic, lcount = struct.unpack(">ii", _read_exact(f, 8, labels_path))
         if magic != IDX_LABELS_MAGIC:
             raise FormatError(f"{labels_path}: bad labels magic 0x{magic:08x}")
-        lraw = _read_exact(f, lcount, labels_path)
-        if f.read(1):
-            raise FormatError(f"{labels_path}: trailing bytes after label data")
+        lraw = _read_body(f, 8 + lcount, labels_path)
     if count != lcount:
         raise FormatError(f"image count {count} != label count {lcount}")
     x = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0

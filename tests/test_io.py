@@ -14,7 +14,7 @@ import pytest
 
 import anyprune
 from anyprune.cli import main
-from anyprune.config import config_hash, parse_config, resolved_text
+from anyprune.config import RunConfig, config_hash, parse_config, resolved_text
 from anyprune.datasets import (
     gen_blobs,
     gen_digits,
@@ -192,6 +192,46 @@ def test_out_of_range_value_rejected_naming_its_key(text, key):
     assert err.value.field == key
 
 
+# every float key, with a config in which it applies
+FLOAT_KEYS = {
+    "tau": MINIMAL.replace("tau = 4.5\n", ""),
+    **dict.fromkeys(
+        ("lr0", "lr_gamma", "post_m1_lr", "momentum", "weight_decay", "pi_fraction",
+         "val_fraction", "blob_noise"),
+        MINIMAL,
+    ),
+    "test_fraction": CSV,
+    "spiral_noise": SPIRALS,
+}
+
+
+def test_every_float_key_is_checked_for_finiteness():
+    declared = {f.name for f in dataclasses.fields(RunConfig) if f.type in (float, float | None)}
+    assert set(FLOAT_KEYS) == declared
+
+
+@pytest.mark.parametrize("spelling", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_number_rejected_naming_its_key(key, spelling):
+    with pytest.raises(ConfigError, match=f"^{key}: expected a finite number, got '{spelling}'$"):
+        parse_config(FLOAT_KEYS[key] + f"{key} = {spelling}\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("variant = bogus\ntau = 2\nmegabatches = 2\ndataset = synthetic_blobs\n", "variant"),
+    (MINIMAL + "model = resnet\nconv_kernel = 3\n", "model"),
+    (MINIMAL.replace("synthetic_blobs", "imagenet") + "blob_noise = 1\n", "dataset"),
+], ids=["variant", "model", "dataset"])
+def test_bad_steering_key_reported_before_the_keys_it_steers(text, key):
+    with pytest.raises(ConfigError, match=f"^{key}: must be one of ") as err:
+        parse_config(text)
+    assert err.value.field == key
+
+
+# image counts and sizes far larger than the 16-byte files that claim them
+OVERSIZED_IDX_HEADERS = [(2**30, 2**16, 2**16), (2**31 - 1,) * 3]
+
+
 class TestIdx:
     def test_hand_crafted_pair(self, tmp_path):
         images = tmp_path / "imgs.idx"
@@ -228,6 +268,24 @@ class TestIdx:
         images.write_bytes(struct.pack(">iiii", 0x00000803, 1, 1, 1) + b"\x00")
         labels.write_bytes(struct.pack(">ii", 0x00000801, 2) + b"\x00\x00")
         with pytest.raises(FormatError):
+            load_idx(images, labels)
+
+    @pytest.mark.parametrize("count, rows, cols", OVERSIZED_IDX_HEADERS)
+    def test_oversized_header_rejected_before_reading(self, tmp_path, count, rows, cols):
+        images = tmp_path / "imgs.idx"
+        labels = tmp_path / "lbls.idx"
+        images.write_bytes(struct.pack(">iiii", 0x00000803, count, rows, cols))
+        labels.write_bytes(struct.pack(">ii", 0x00000801, 1) + b"\x00")
+        declared = 16 + count * rows * cols
+        with pytest.raises(FormatError, match=f"imgs.idx: header declares {declared} bytes, file holds 16$"):
+            load_idx(images, labels)
+
+    def test_negative_label_count_rejected_naming_both_sizes(self, tmp_path):
+        images = tmp_path / "imgs.idx"
+        labels = tmp_path / "lbls.idx"
+        images.write_bytes(struct.pack(">iiii", 0x00000803, 1, 1, 1) + b"\x00")
+        labels.write_bytes(struct.pack(">ii", 0x00000801, -1) + b"\x00")
+        with pytest.raises(FormatError, match="lbls.idx: header declares 7 bytes, file holds 9$"):
             load_idx(images, labels)
 
     def test_round_trip(self, tmp_path):
@@ -460,6 +518,17 @@ class TestCli:
             assert f"config error: {key}: must be >= 0" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_non_finite_tau_exits_1_without_a_traceback(self, tmp_path, capsys):
+        text = (pathlib.Path(__file__).parents[1] / "configs" / "app_blobs.cfg").read_text()
+        cfg = tmp_path / "inf_tau.cfg"
+        cfg.write_text(text.replace("tau = 4.5", "tau = inf"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tau:")
+        assert "Traceback" not in err
+
     def test_convnet_on_flat_input_exits_2_naming_the_shape(self, tmp_path, capsys):
         # synthetic blobs are flat 16-feature vectors; only ModelSpec rejects them
         with pytest.raises(ModelSpecError, match=r"input shape, got \(16,\)"):
@@ -497,6 +566,28 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "megabatch 1: pi_fraction = 0.001 of the view's 112 training samples" in err
+
+    @pytest.mark.parametrize("count, rows, cols", OVERSIZED_IDX_HEADERS)
+    def test_oversized_idx_header_exits_2_and_writes_no_run(self, tmp_path, capsys, count, rows, cols):
+        x, y, shape = gen_digits(per_class=3, seed=0, side=8)
+        for part in ("train", "test"):
+            write_idx(x, y, tmp_path / f"{part}-i", tmp_path / f"{part}-l", shape)
+        (tmp_path / "train-i").write_bytes(struct.pack(">iiii", 0x00000803, count, rows, cols))
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(
+            "variant = baseline\nmegabatches = 2\ndataset = idx\n"
+            + "".join(
+                f"idx_{part}_{kind} = {tmp_path / f'{part}-{kind[0]}'}\n"
+                for part in ("train", "test") for kind in ("images", "labels")
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        declared = 16 + count * rows * cols
+        assert f"{tmp_path / 'train-i'}: header declares {declared} bytes, file holds 16" in (
+            capsys.readouterr().err
+        )
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "missing.cfg"
@@ -644,6 +735,12 @@ class TestCli:
         assert sorted(os.listdir(out)) == ["a"]
         assert os.listdir(out / "a") == ["notes.txt"]
         assert (out / "a" / "notes.txt").read_text() == "keep me"
+
+    def test_sweep_of_a_missing_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", str(tmp_path / "missing"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config directory: ")
+        assert not out.exists()
 
     def test_sweep_parallel(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"
