@@ -69,6 +69,7 @@ def _when(key, *values):
     return lambda r: r[key] in values
 
 
+_STEERING = ("variant", "model", "dataset")  # the keys that ``applies`` reads
 _MLP, _CONVNET = _when("model", "mlp"), _when("model", "convnet")
 _IDX, _CSV = _when("dataset", "idx"), _when("dataset", "csv")
 _BLOBS, _SPIRALS = _when("dataset", "synthetic_blobs"), _when("dataset", "synthetic_spirals")
@@ -213,11 +214,8 @@ def parse_config(source, seed_override=None):
         name, meta = f.name, f.metadata
         if meta["applies"] is not None and not meta["applies"](resolved):
             if name in pairs:
-                raise ConfigError(
-                    f"not applicable for variant={resolved.get('variant')!r}, "
-                    f"model={resolved.get('model')!r}, dataset={resolved.get('dataset')!r}",
-                    name,
-                )
+                steering = [f"{k}={resolved[k]!r}" for k in _STEERING if k in resolved]
+                raise ConfigError(f"not applicable for {', '.join(steering)}", name)
             resolved[name] = None
             continue
         if name in pairs:

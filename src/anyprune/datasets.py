@@ -187,6 +187,8 @@ def load_idx(images_path, labels_path):
         lraw = _read_body(f, 8 + lcount, labels_path)
     if count != lcount:
         raise FormatError(f"image count {count} != label count {lcount}")
+    if count == 0:
+        raise DataError(f"{images_path}: holds no images")
     x = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
     y = np.frombuffer(lraw, dtype=np.uint8).astype(np.int64)
     return x, y, (1, rows, cols)

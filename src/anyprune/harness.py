@@ -7,8 +7,9 @@ app_noreplay_snip, anytime_osp at the first megabatch only), after a warmup
 (baseline). After each megabatch the best validation checkpoint is evaluated
 on the held-out test set and carried into the next megabatch.
 
-Every random draw is keyed by (purpose, config seed, megabatch, epoch), so an
-identical config reproduces an identical MetricsLog.
+Every random draw comes from a Philox stream keyed by integers (a config seed
+and the megabatch, epoch or layer; see ``rng`` for the purpose constants), so
+an identical config reproduces an identical MetricsLog.
 """
 
 import logging
@@ -71,7 +72,6 @@ class MegabatchRecord:
     test_total: int
     gen_gap_pp: float
     kept_count: int
-    pi_size: int | None
     layer_pruned: list
     predictions: np.ndarray
 
@@ -140,46 +140,7 @@ def _check_loss(kind, loss, t, epoch, global_iter):
         )
 
 
-def _run_epoch(model, mask, view, config, t, epoch, optim, global_iter, observer):
-    order = rng_from(STREAM_SHUFFLE, config.seed_shuffle, t, epoch).permutation(view.train_idx)
-    optim.lr = lr_at(config, t, epoch)
-    params = model.params()
-    correct = 0
-    loss_sum = 0.0
-    for start in range(0, order.size, config.minibatch):
-        xb, yb = view.train_xy(order[start : start + config.minibatch])
-        with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
-            step_loss, grads, logits = model.loss_and_grads(xb, yb)
-        global_iter += 1
-        _check_loss("training", step_loss, t, epoch, global_iter)
-        sgd_momentum_step(params, grads, optim, mask)
-        correct += int((np.argmax(logits, axis=1) == yb).sum())
-        loss_sum += step_loss * yb.size
-        if observer is not None and hasattr(observer, "on_step"):
-            observer.on_step(t, epoch, model, optim, mask)
-    with np.errstate(over="ignore", invalid="ignore"):
-        val_correct, val_total, val_loss = evaluate(model, *view.val_xy())
-    _check_loss("validation", val_loss, t, epoch, global_iter)
-    rec = EpochRecord(
-        megabatch=t,
-        epoch=epoch,
-        lr=optim.lr,
-        global_iter=global_iter,
-        train_correct=correct,
-        train_total=int(order.size),
-        train_loss=loss_sum / order.size,
-        val_correct=val_correct,
-        val_total=val_total,
-        val_loss=val_loss,
-        kept_count=mask.kept_count if mask is not None else count_params(model.registry, True),
-    )
-    return rec, global_iter
-
-
-def train_megabatch(
-    model, mask, view, config, t,
-    optim=None, epochs=None, global_iter=0, observer=None,
-):
+def train_megabatch(model, mask, view, config, t, epochs, optim=None, global_iter=0, observer=None):
     """Train the view for the given epochs, tracking the best val checkpoint.
 
     Returns (best_snapshot, best_record, epoch_records, global_iter); the best
@@ -188,17 +149,37 @@ def train_megabatch(
     model is left at its *running* (last-step) parameters; callers decide when
     to restore the checkpoint.
     """
-    epoch_list = list(range(1, config.epochs + 1)) if epochs is None else list(epochs)
-    if epoch_list and view.train_idx.size == 0:
+    if epochs and view.train_idx.size == 0:
         raise DataError("megabatch training view has no training samples")
     if optim is None:
         optim = OptimState(model.params(), config.lr0, config.momentum, config.weight_decay)
+    params = model.params()
+    kept = mask.kept_count if mask is not None else count_params(model.registry, True)
     records = []
-    best_snap = None
-    best_rec = None
-    for epoch in epoch_list:
-        rec, global_iter = _run_epoch(
-            model, mask, view, config, t, epoch, optim, global_iter, observer
+    best_snap = best_rec = None
+    for epoch in epochs:
+        order = rng_from(STREAM_SHUFFLE, config.seed_shuffle, t, epoch).permutation(view.train_idx)
+        optim.lr = lr_at(config, t, epoch)
+        correct = 0
+        loss_sum = 0.0
+        for start in range(0, order.size, config.minibatch):
+            xb, yb = view.train_xy(order[start : start + config.minibatch])
+            with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
+                step_loss, grads, logits = model.loss_and_grads(xb, yb)
+            global_iter += 1
+            _check_loss("training", step_loss, t, epoch, global_iter)
+            sgd_momentum_step(params, grads, optim, mask)
+            correct += int((np.argmax(logits, axis=1) == yb).sum())
+            loss_sum += step_loss * yb.size
+            if observer is not None and hasattr(observer, "on_step"):
+                observer.on_step(t, epoch, model, optim, mask)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val_correct, val_total, val_loss = evaluate(model, *view.val_xy())
+        _check_loss("validation", val_loss, t, epoch, global_iter)
+        rec = EpochRecord(
+            megabatch=t, epoch=epoch, lr=optim.lr, global_iter=global_iter,
+            train_correct=correct, train_total=int(order.size), train_loss=loss_sum / order.size,
+            val_correct=val_correct, val_total=val_total, val_loss=val_loss, kept_count=kept,
         )
         records.append(rec)
         if best_rec is None or rec.val_correct > best_rec.val_correct:
@@ -221,17 +202,14 @@ def dataset_for_config(config):
     if config.dataset == "idx":
         x, y, shape = load_idx(config.idx_train_images, config.idx_train_labels)
         xt, yt, shape_t = load_idx(config.idx_test_images, config.idx_test_labels)
-        for path, labels in ((config.idx_train_images, y), (config.idx_test_images, yt)):
-            if not labels.size:
-                raise DataError(f"{path}: holds no images")
         if shape != shape_t:
             raise FormatError(f"train images are {shape}, test images are {shape_t}")
-        classes = int(max(y.max(), yt.max())) + 1
-        return Dataset(x, y, xt, yt, input_shape=shape, class_count=classes)
-    x, y = load_csv(config.csv_path, config.csv_label_column)
-    x, y, xt, yt = split_test(x, y, config.test_fraction, config.seed_partition)
+    else:
+        x, y = load_csv(config.csv_path, config.csv_label_column)
+        x, y, xt, yt = split_test(x, y, config.test_fraction, config.seed_partition)
+        shape = (x.shape[1],)
     classes = int(max(y.max(), yt.max())) + 1
-    return Dataset(x, y, xt, yt, input_shape=(x.shape[1],), class_count=classes)
+    return Dataset(x, y, xt, yt, input_shape=shape, class_count=classes)
 
 
 def model_spec_for_config(config, dataset):
@@ -245,8 +223,43 @@ def model_spec_for_config(config, dataset):
     )
 
 
+def _prune_step(config, dataset, stream, view, model, mask, t, delta):
+    """Score the weights ``mask`` keeps; keep the best 0.8**delta share of all prunable ones.
+
+    Returns (new_mask, detail of the prune event). The scoring rows and the
+    scores are local, so they are freed before training resumes.
+    """
+    x = y = pi_size = None
+    if config.pruner in ("snip", "grasp"):
+        source = replay_view(stream, t, "none") if config.variant == "app_noreplay_snip" else view
+        pi_idx = draw_pi(source, config.pi_fraction, (config.seed_pruning, t))
+        pi_size = int(pi_idx.size)
+        if pi_size == 0:
+            raise DataError(
+                f"megabatch {t}: pi_fraction = {config.pi_fraction} of the view's "
+                f"{source.train_idx.size} training samples is an empty scoring set"
+            )
+        x, y = dataset.x[pi_idx], dataset.y[pi_idx]
+    scores = selection_scores(config.pruner, model, mask, x, y, (config.seed_pruning, t))
+    keep = keep_count(delta, count_params(model.registry, prunable_only=True))
+    new_mask = prune_global(mask, scores, keep)
+    detail = {
+        "delta": float(delta), "keep": keep, "kept_before": mask.kept_count,
+        "kept_after": new_mask.kept_count, "pi_size": pi_size,
+    }
+    return new_mask, detail
+
+
 def run(config, observer=None):
-    """Execute one configured run over the whole stream; returns the MetricsLog."""
+    """Execute one configured run over the whole stream; returns the MetricsLog.
+
+    ``observer`` may define any of four hooks, each called only if present:
+    ``on_megabatch_start(t, model, mask)``, ``on_step(t, epoch, model, optim,
+    mask)`` after every optimizer step, ``on_prune(t, old_mask, new_mask)``
+    before the new mask reaches the weights, and ``on_megabatch_end(t, model,
+    mask)`` once the best checkpoint is restored and evaluated. ``mask`` is
+    None for the baseline, which never prunes.
+    """
     started = time.perf_counter()
     dataset = dataset_for_config(config)
     stream = build_stream(
@@ -276,11 +289,8 @@ def run(config, observer=None):
             )
 
     log = MetricsLog(
-        config=config,
-        config_hash=config_hash(config),
-        run_id=run_id(config),
-        prunable_total=total_prunable,
-        class_count=dataset.class_count,
+        config=config, config_hash=config_hash(config), run_id=run_id(config),
+        prunable_total=total_prunable, class_count=dataset.class_count,
         layer_names=[e.name for e in model.registry.prunable()],
         test_labels=dataset.y_test.copy(),
     )
@@ -291,69 +301,38 @@ def run(config, observer=None):
             observer.on_megabatch_start(t, model, mask)
         view = replay_view(stream, t, config.replay)
         optim = OptimState(model.params(), config.lr0, config.momentum, config.weight_decay)
-        seq = 0
-        pi_size = None
-
-        def log_event(kind, **detail):
-            nonlocal seq
-            log.events.append(RunEvent(megabatch=t, seq=seq, kind=kind, detail=detail))
-            seq += 1
-
-        def prune_step(delta):
-            nonlocal mask, pi_size
-            keep = keep_count(delta, total_prunable)
-            if config.pruner in ("snip", "grasp"):
-                source = replay_view(stream, t, "none") if config.variant == "app_noreplay_snip" else view
-                pi_idx = draw_pi(source, config.pi_fraction, (config.seed_pruning, t))
-                pi_size = int(pi_idx.size)
-                if pi_size == 0:
-                    raise DataError(
-                        f"megabatch {t}: pi_fraction = {config.pi_fraction} of the view's "
-                        f"{source.train_idx.size} training samples is an empty scoring set"
-                    )
-                scores = selection_scores(
-                    config.pruner, model, mask, dataset.x[pi_idx], dataset.y[pi_idx]
-                )
-            else:
-                scores = selection_scores(
-                    config.pruner, model, mask, seed=(config.seed_pruning, t)
-                )
-            new_mask = prune_global(mask, scores, keep)
+        events = []  # (kind, detail), numbered in order below
+        snap, best_rec, records, global_iter = train_megabatch(
+            model, mask, view, config, t, epochs=range(1, at + 1),
+            optim=optim, global_iter=global_iter, observer=observer,
+        )
+        log.epochs.extend(records)
+        if records:
+            events.append(("train", {"first_epoch": 1, "last_epoch": at}))
+        if t <= len(deltas):
+            if config.variant == "app_final":
+                model.restore(snap)
+            new_mask, detail = _prune_step(
+                config, dataset, stream, view, model, mask, t, deltas[t - 1]
+            )
             if observer is not None and hasattr(observer, "on_prune"):
                 observer.on_prune(t, mask, new_mask)
-            kept_before = mask.kept_count
             mask = new_mask
             apply_mask(model, mask)
             for name, m in mask.arrays.items():
                 optim.velocity[name] *= m
-            log_event(
-                "prune", delta=float(delta), keep=keep,
-                kept_before=kept_before, kept_after=mask.kept_count, pi_size=pi_size,
-            )
-
-        def train_span(first, last):
-            nonlocal global_iter
-            span = range(first, last + 1)
-            snap, rec, records, global_iter = train_megabatch(
-                model, mask, view, config, t,
-                optim=optim, epochs=span, global_iter=global_iter, observer=observer,
-            )
-            log.epochs.extend(records)
-            if records:
-                log_event("train", first_epoch=first, last_epoch=last)
-            return snap, rec
-
-        pre_snap, pre_rec = train_span(1, at)
-        if t <= len(deltas):
-            if config.variant == "app_final":
-                model.restore(pre_snap)
-            prune_step(deltas[t - 1])
-        best_snap, best_rec = train_span(at + 1, config.epochs)
-        if best_snap is None:
-            # no epochs after the prune: keep the pruned weights and the
-            # earlier span's best record
-            best_snap, best_rec = model.snapshot(), pre_rec
-        model.restore(best_snap)
+            events.append(("prune", detail))
+        snap, rec, records, global_iter = train_megabatch(
+            model, mask, view, config, t, epochs=range(at + 1, config.epochs + 1),
+            optim=optim, global_iter=global_iter, observer=observer,
+        )
+        log.epochs.extend(records)
+        # with no epochs after the prune, the pruned weights and the earlier
+        # span's best record stand
+        if records:
+            events.append(("train", {"first_epoch": at + 1, "last_epoch": config.epochs}))
+            best_rec = rec
+            model.restore(snap)
 
         preds = model.predict(dataset.x_test)
         errors = error_count(preds, dataset.y_test)
@@ -364,20 +343,16 @@ def run(config, observer=None):
         else:
             layers = [(e.name, 0.0) for e in model.registry.prunable()] + [("global", 0.0)]
             kept = total_prunable
-        log.megabatches.append(
-            MegabatchRecord(
-                megabatch=t,
-                best_epoch=best_rec.epoch,
-                test_errors=errors,
-                test_total=int(dataset.y_test.size),
-                gen_gap_pp=gap,
-                kept_count=kept,
-                pi_size=pi_size,
-                layer_pruned=layers,
-                predictions=preds,
-            )
+        log.megabatches.append(MegabatchRecord(
+            megabatch=t, best_epoch=best_rec.epoch, test_errors=errors,
+            test_total=int(dataset.y_test.size), gen_gap_pp=gap, kept_count=kept,
+            layer_pruned=layers, predictions=preds,
+        ))
+        events.append(("eval", {"test_errors": errors}))
+        log.events.extend(
+            RunEvent(megabatch=t, seq=seq, kind=kind, detail=detail)
+            for seq, (kind, detail) in enumerate(events)
         )
-        log_event("eval", test_errors=errors)
         if observer is not None and hasattr(observer, "on_megabatch_end"):
             observer.on_megabatch_end(t, model, mask)
 

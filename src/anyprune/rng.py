@@ -1,9 +1,12 @@
 """Deterministic random streams.
 
 Every random draw in the package comes from a Philox counter-based generator
-keyed by explicit integers: a purpose constant plus the caller's seed(s).
-There is no global RNG state, so identical keys always reproduce identical
-streams and distinct purposes never alias even when user seeds collide.
+keyed by explicit integers. There is no global RNG state, so identical keys
+always reproduce identical streams. Most draws lead their key with one of the
+purpose constants below, so purposes do not alias when user seeds collide.
+Weight init does not: ``build_model`` draws layer ``i`` from
+``rng_from(seed_init, i)``, so ``seed_init = 103`` gives layer 0 exactly the
+stream of the seed-0 partition (``STREAM_PARTITION = 103``).
 """
 
 import math
@@ -11,7 +14,6 @@ import math
 import numpy as np
 
 # Purpose constants; these namespace the user-supplied seeds per use site.
-STREAM_INIT = 101
 STREAM_CAP = 102
 STREAM_PARTITION = 103
 STREAM_SHUFFLE = 104

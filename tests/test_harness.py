@@ -45,16 +45,24 @@ def _prune_events(log):
     return [e for e in log.events if e.kind == "prune"]
 
 
+def _assert_seq_counts_each_megabatch(log):
+    for t in range(1, log.config.megabatches + 1):
+        seqs = [e.seq for e in log.events if e.megabatch == t]
+        assert seqs == list(range(len(seqs)))
+
+
 class TestVariantEventOrder:
     def test_app_default_prunes_before_training(self):
         log = run(_cfg())
         for t in (1, 2, 3):
             assert _event_kinds(log, t) == ["prune", "train", "eval"]
+        _assert_seq_counts_each_megabatch(log)
 
     def test_app_final_prunes_after_training(self):
         log = run(_cfg(variant="app_final"))
         for t in (1, 2, 3):
             assert _event_kinds(log, t) == ["train", "prune", "eval"]
+        _assert_seq_counts_each_megabatch(log)
 
     def test_app_warmup_prunes_after_exactly_warmup_epochs(self):
         log = run(_cfg(variant="app_warmup", epochs=22, warmup_epochs=20))
@@ -63,17 +71,20 @@ class TestVariantEventOrder:
             assert [e.kind for e in events] == ["train", "prune", "train", "eval"]
             assert events[0].detail == {"first_epoch": 1, "last_epoch": 20}
             assert events[2].detail == {"first_epoch": 21, "last_epoch": 22}
+        _assert_seq_counts_each_megabatch(log)
 
     def test_warmup_short_run_prunes_at_half(self):
         log = run(_cfg(variant="app_warmup", epochs=4, warmup_epochs=20))
         events = [e for e in log.events if e.megabatch == 1]
         assert events[0].detail == {"first_epoch": 1, "last_epoch": 2}
+        _assert_seq_counts_each_megabatch(log)
 
     def test_baseline_never_prunes(self):
         log = run(_cfg(variant="baseline"))
         assert _prune_events(log) == []
         assert all(r.kept_count == log.prunable_total for r in log.epochs)
         assert all(r.kept_count == log.prunable_total for r in log.megabatches)
+        _assert_seq_counts_each_megabatch(log)
 
     def test_osp_prunes_once_at_start(self):
         log = run(_cfg(variant="anytime_osp"))
@@ -81,6 +92,7 @@ class TestVariantEventOrder:
         assert len(prunes) == 1 and prunes[0].megabatch == 1
         want = keep_count(3.0, log.prunable_total)
         assert all(r.kept_count == want for r in log.megabatches)
+        _assert_seq_counts_each_megabatch(log)
 
     def test_osp_mask_bit_identical_across_megabatches(self):
         class MaskTrace:
@@ -91,7 +103,8 @@ class TestVariantEventOrder:
                 self.per_megabatch.append({k: v.copy() for k, v in mask.arrays.items()})
 
         trace = MaskTrace()
-        run(_cfg(variant="anytime_osp"), observer=trace)
+        log = run(_cfg(variant="anytime_osp"), observer=trace)
+        _assert_seq_counts_each_megabatch(log)
         first = trace.per_megabatch[0]
         for later in trace.per_megabatch[1:]:
             for name, arr in first.items():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from anyprune.datasets import (
     load_idx,
     write_idx,
 )
-from anyprune.errors import ConfigError, FormatError, ModelSpecError
+from anyprune.errors import ConfigError, DataError, FormatError, ModelSpecError
 from anyprune.harness import run
 from anyprune.metrics import summarize
 from anyprune.models import ModelSpec, build_model
@@ -83,6 +84,25 @@ class TestParseConfig:
             parse_config("variant = baseline\nmegabatches = 2\ndataset = synthetic_blobs\ntau = 2\n")
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "spiral_noise = 0.5\n")
+
+    @pytest.mark.parametrize(
+        "text, key, steering",
+        [
+            ("variant = baseline\ntau = 2\nmodel = mlp\ndataset = synthetic_blobs\n",
+             "tau", "variant='baseline'"),
+            (MINIMAL + "conv_kernel = 3\n", "conv_kernel", "variant='app_default', model='mlp'"),
+            ("variant = baseline\nmegabatches = 2\ndataset = idx\nblob_noise = 0.1\n" + "".join(
+                f"idx_{k} = {k}.idx\n"
+                for k in ("train_images", "train_labels", "test_images", "test_labels")
+            ), "blob_noise", "variant='baseline', model='mlp', dataset='idx'"),
+        ],
+        ids=["tau", "conv_kernel", "blob_noise"],
+    )
+    def test_inapplicable_key_names_only_resolved_steering_keys(self, text, key, steering):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == f"{key}: not applicable for {steering}"
+        assert "None" not in str(err.value)
 
     def test_missing_required_rejected(self):
         with pytest.raises(ConfigError):
@@ -286,6 +306,14 @@ class TestIdx:
         images.write_bytes(struct.pack(">iiii", 0x00000803, 1, 1, 1) + b"\x00")
         labels.write_bytes(struct.pack(">ii", 0x00000801, -1) + b"\x00")
         with pytest.raises(FormatError, match="lbls.idx: header declares 7 bytes, file holds 9$"):
+            load_idx(images, labels)
+
+    def test_zero_images_rejected_naming_the_file(self, tmp_path):
+        images = tmp_path / "imgs.idx"
+        labels = tmp_path / "lbls.idx"
+        images.write_bytes(struct.pack(">iiii", 0x00000803, 0, 2, 2))
+        labels.write_bytes(struct.pack(">ii", 0x00000801, 0))
+        with pytest.raises(DataError, match=f"^{re.escape(str(images))}: holds no images$"):
             load_idx(images, labels)
 
     def test_round_trip(self, tmp_path):
