@@ -195,10 +195,22 @@ def load_idx(images_path, labels_path):
 
 
 def write_idx(x, y, images_path, labels_path, input_shape):
-    """Write features in [0, 1] and integer labels as an IDX pair."""
+    """Write features in [0, 1] and integer labels in [0, 255] as an IDX pair.
+
+    Anything else would wrap or not load, so it raises DataError before a file is opened.
+    """
     rows, cols = input_shape[-2], input_shape[-1]
+    x, y = np.asarray(x), np.asarray(y)
     n = x.shape[0]
-    pixels = np.round(np.asarray(x).reshape(n, rows, cols) * 255.0).astype(np.uint8)
+    if y.shape != (n,):
+        raise DataError(f"{n} images but labels of shape {y.shape}")
+    bad = np.flatnonzero(~((x >= 0.0) & (x <= 1.0)))
+    if bad.size:
+        raise DataError(f"pixel {x.flat[bad[0]]} at flat index {bad[0]} is outside [0, 1]")
+    bad = np.flatnonzero(~((y >= 0) & (y <= 255) & (y == np.round(y))))
+    if bad.size:
+        raise DataError(f"label {y[bad[0]]} at index {bad[0]} is not an integer in [0, 255]")
+    pixels = np.round(x.reshape(n, rows, cols) * 255.0).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, n, rows, cols))
         f.write(pixels.tobytes())

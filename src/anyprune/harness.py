@@ -24,7 +24,7 @@ from .config import config_hash, run_id
 from .datasets import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, split_test
 from .errors import DataError, FormatError, NumericError
 from .metrics import error_count, generalization_gap
-from .models import CHUNK, ModelSpec, build_model, count_params
+from .models import CHUNK, ModelSpec, build_model
 from .optim import OptimState, sgd_momentum_step
 from .pruning import (
     SparsityMask,
@@ -154,7 +154,7 @@ def train_megabatch(model, mask, view, config, t, epochs, optim=None, global_ite
     if optim is None:
         optim = OptimState(model.params(), config.lr0, config.momentum, config.weight_decay)
     params = model.params()
-    kept = mask.kept_count if mask is not None else count_params(model.registry, True)
+    kept = mask.kept_count
     records = []
     best_snap = best_rec = None
     for epoch in epochs:
@@ -241,7 +241,7 @@ def _prune_step(config, dataset, stream, view, model, mask, t, delta):
             )
         x, y = dataset.x[pi_idx], dataset.y[pi_idx]
     scores = selection_scores(config.pruner, model, mask, x, y, (config.seed_pruning, t))
-    keep = keep_count(delta, count_params(model.registry, prunable_only=True))
+    keep = keep_count(delta, mask.size)
     new_mask = prune_global(mask, scores, keep)
     detail = {
         "delta": float(delta), "keep": keep, "kept_before": mask.kept_count,
@@ -258,7 +258,7 @@ def run(config, observer=None):
     mask)`` after every optimizer step, ``on_prune(t, old_mask, new_mask)``
     before the new mask reaches the weights, and ``on_megabatch_end(t, model,
     mask)`` once the best checkpoint is restored and evaluated. ``mask`` is
-    None for the baseline, which never prunes.
+    always a SparsityMask; the baseline's keeps every weight and never prunes.
     """
     started = time.perf_counter()
     dataset = dataset_for_config(config)
@@ -267,14 +267,13 @@ def run(config, observer=None):
         config.per_class_cap, config.seed_partition,
     )
     model = build_model(model_spec_for_config(config, dataset), config.seed_init)
-    total_prunable = count_params(model.registry, prunable_only=True)
-    mask = None if config.variant == "baseline" else SparsityMask.full(model)
+    mask = SparsityMask.full(model)
     # deltas: the exponents of the megabatches that prune, in stream order;
     # at: the epochs each megabatch trains before its prune step
     deltas = ()
     if config.variant == "anytime_osp":
         deltas = (config.tau,)
-    elif mask is not None:
+    elif config.variant != "baseline":
         deltas = make_delta_schedule(config.tau, config.megabatches)
     at = 0
     if config.variant == "app_final":
@@ -290,8 +289,7 @@ def run(config, observer=None):
 
     log = MetricsLog(
         config=config, config_hash=config_hash(config), run_id=run_id(config),
-        prunable_total=total_prunable, class_count=dataset.class_count,
-        layer_names=[e.name for e in model.registry.prunable()],
+        prunable_total=mask.size, class_count=dataset.class_count, layer_names=list(mask.arrays),
         test_labels=dataset.y_test.copy(),
     )
     global_iter = 0
@@ -337,16 +335,10 @@ def run(config, observer=None):
         preds = model.predict(dataset.x_test)
         errors = error_count(preds, dataset.y_test)
         gap = generalization_gap(best_rec.train_acc, best_rec.val_acc)
-        if mask is not None:
-            layers = layer_pruned_fraction(mask, model.registry)
-            kept = mask.kept_count
-        else:
-            layers = [(e.name, 0.0) for e in model.registry.prunable()] + [("global", 0.0)]
-            kept = total_prunable
         log.megabatches.append(MegabatchRecord(
             megabatch=t, best_epoch=best_rec.epoch, test_errors=errors,
-            test_total=int(dataset.y_test.size), gen_gap_pp=gap, kept_count=kept,
-            layer_pruned=layers, predictions=preds,
+            test_total=int(dataset.y_test.size), gen_gap_pp=gap, kept_count=mask.kept_count,
+            layer_pruned=layer_pruned_fraction(mask), predictions=preds,
         ))
         events.append(("eval", {"test_errors": errors}))
         log.events.extend(

@@ -89,10 +89,6 @@ class ParamRegistry:
         return [e for e in self.entries if e.prunable]
 
 
-def count_params(registry, prunable_only=False):
-    return sum(e.tensor.size for e in registry if e.prunable or not prunable_only)
-
-
 class Model:
     """A built classifier: spec, registry, and a taped forward pass."""
 

@@ -24,11 +24,12 @@ class OptimState:
         self.velocity = {name: np.zeros(p.shape) for name, p in params.items()}
 
 
-def sgd_momentum_step(params, grads, state, mask=None):
+def sgd_momentum_step(params, grads, state, mask):
     """One in-place update: v <- m*v + (g + wd*p); p <- p - lr*v; then mask.
 
     Masked positions of both the parameter and its momentum buffer are forced
-    to exactly zero after the update, so pruned weights can never drift.
+    to exactly zero after the update, so pruned weights can never drift. A
+    tensor the mask keeps whole is skipped: ``x * 1.0`` is ``x`` bit for bit.
     """
     for name, p in params.items():
         g = grads[name]
@@ -41,9 +42,10 @@ def sgd_momentum_step(params, grads, state, mask=None):
         v *= state.momentum
         v += step
         p.data -= state.lr * v
-        if mask is not None and name in mask.arrays:
+        if name in mask.arrays:
             m = mask.arrays[name]
             if m.shape != p.shape:
                 raise ShapeError(f"mask shape {m.shape} != param shape {p.shape} for {name}")
-            p.data *= m
-            v *= m
+            if mask.kept[name] < m.size:
+                p.data *= m
+                v *= m

@@ -32,14 +32,16 @@ SCORE_CHUNK = 256
 
 
 class SparsityMask:
-    """Binary keep-masks for every prunable tensor, with a cached kept count."""
+    """Binary keep-masks per prunable tensor, counted in ``kept``, ``kept_count`` and ``size``."""
 
     def __init__(self, arrays):
         for name, a in arrays.items():
             if not np.all((a == 0.0) | (a == 1.0)):
                 raise ParameterError(f"mask {name!r} has entries outside {{0, 1}}")
         self.arrays = {name: np.ascontiguousarray(a, dtype=np.float64) for name, a in arrays.items()}
-        self.kept_count = int(sum(a.sum() for a in self.arrays.values()))
+        self.kept = {name: int(np.count_nonzero(a)) for name, a in self.arrays.items()}
+        self.kept_count = sum(self.kept.values())
+        self.size = sum(a.size for a in self.arrays.values())
 
     @classmethod
     def full(cls, model):
@@ -180,7 +182,7 @@ def prune_global(mask, scores, keep):
         raise ShapeError(f"scores missing for {missing}")
     # negated scores in global flat order: kept positions rank by score and
     # every pruned one (+inf) after them
-    neg = np.empty(sum(a.size for a in mask.arrays.values()))
+    neg = np.empty(mask.size)
     offset = 0
     for name in names:
         m = mask.arrays[name]
@@ -219,16 +221,8 @@ def apply_mask(model, mask):
         p.data *= m
 
 
-def layer_pruned_fraction(mask, registry):
-    """Per prunable tensor (name, fraction pruned), plus a global row."""
-    rows = []
-    kept_total = 0
-    size_total = 0
-    for e in registry.prunable():
-        m = mask.arrays[e.name]
-        kept = int(m.sum())
-        rows.append((e.name, 1.0 - kept / m.size))
-        kept_total += kept
-        size_total += m.size
-    rows.append(("global", (1.0 - kept_total / size_total) if size_total else 0.0))
+def layer_pruned_fraction(mask):
+    """Per masked tensor (name, fraction pruned), plus a global row."""
+    rows = [(name, 1.0 - mask.kept[name] / m.size) for name, m in mask.arrays.items()]
+    rows.append(("global", (1.0 - mask.kept_count / mask.size) if mask.size else 0.0))
     return rows

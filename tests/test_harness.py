@@ -10,7 +10,7 @@ from anyprune.config import parse_config
 from anyprune.errors import NumericError
 from anyprune.harness import run, train_megabatch
 from anyprune.models import ModelSpec, build_model
-from anyprune.pruning import keep_count, make_delta_schedule
+from anyprune.pruning import SparsityMask, keep_count, make_delta_schedule
 from anyprune.rng import round_half_up
 from anyprune.stream import build_stream, replay_view
 
@@ -80,10 +80,34 @@ class TestVariantEventOrder:
         _assert_seq_counts_each_megabatch(log)
 
     def test_baseline_never_prunes(self):
-        log = run(_cfg(variant="baseline"))
+        class MaskTrace:
+            def __init__(self):
+                self.masks = []
+
+            def on_megabatch_start(self, t, model, mask):
+                self.masks.append(mask)
+
+            def on_step(self, t, epoch, model, optim, mask):
+                self.masks.append(mask)
+
+            def on_prune(self, t, old_mask, new_mask):
+                self.masks += [old_mask, new_mask]
+
+            def on_megabatch_end(self, t, model, mask):
+                self.masks.append(mask)
+
+        trace = MaskTrace()
+        log = run(_cfg(variant="baseline"), observer=trace)
         assert _prune_events(log) == []
         assert all(r.kept_count == log.prunable_total for r in log.epochs)
         assert all(r.kept_count == log.prunable_total for r in log.megabatches)
+        assert len(trace.masks) > 2 * log.config.megabatches
+        for mask in trace.masks:
+            assert isinstance(mask, SparsityMask)
+            assert mask.kept_count == log.prunable_total
+        for rec in log.megabatches:
+            assert [name for name, _ in rec.layer_pruned] == log.layer_names + ["global"]
+            assert all(frac == 0.0 for _, frac in rec.layer_pruned)
         _assert_seq_counts_each_megabatch(log)
 
     def test_osp_prunes_once_at_start(self):
@@ -253,7 +277,7 @@ class TestTrainMegabatch:
         model = build_model(ModelSpec((8,), 3, hidden=(12,)), seed=cfg.seed_init)
         before = model.snapshot()
         snap, rec, records, gi = train_megabatch(
-            model, None, replay_view(stream, 1, "full"), cfg, 1, epochs=range(0),
+            model, SparsityMask.full(model), replay_view(stream, 1, "full"), cfg, 1, epochs=range(0),
         )
         assert snap is None and rec is None and records == [] and gi == 0
         for name, arr in before.items():

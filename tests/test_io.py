@@ -29,6 +29,7 @@ from anyprune.harness import run
 from anyprune.metrics import summarize
 from anyprune.models import ModelSpec, build_model
 from anyprune.optim import OptimState, sgd_momentum_step
+from anyprune.pruning import SparsityMask
 from anyprune.reporting import (
     CURVES_COLUMNS,
     write_run_dir,
@@ -329,6 +330,28 @@ class TestIdx:
         np.testing.assert_array_equal(x3, x2)
         np.testing.assert_array_equal(y3, y2)
 
+    @pytest.mark.parametrize(
+        "pixel, label, labels, message",
+        [
+            (1.5, 3, 1, r"^pixel 1\.5 at flat index 1 is outside \[0, 1\]$"),
+            (-0.2, 3, 1, r"^pixel -0\.2 at flat index 1 is outside \[0, 1\]$"),
+            (float("nan"), 3, 1, r"^pixel nan at flat index 1 is outside \[0, 1\]$"),
+            (0.5, 300, 1, r"^label 300 at index 0 is not an integer in \[0, 255\]$"),
+            (0.5, -1, 1, r"^label -1 at index 0 is not an integer in \[0, 255\]$"),
+            (0.5, 2.5, 1, r"^label 2\.5 at index 0 is not an integer in \[0, 255\]$"),
+            (0.5, 3, 2, r"^1 images but labels of shape \(2,\)$"),
+        ],
+    )
+    def test_out_of_range_values_rejected_before_writing(
+        self, tmp_path, pixel, label, labels, message
+    ):
+        x = np.array([[0.0, pixel, 1.0, 0.25]])
+        y = np.full(labels, label)
+        ip, lp = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+        with pytest.raises(DataError, match=message):
+            write_idx(x, y, ip, lp, (1, 2, 2))
+        assert not ip.exists() and not lp.exists()
+
 
 class TestSynthetic:
     def test_blobs_deterministic(self):
@@ -345,7 +368,7 @@ class TestSynthetic:
         params = model.params()
         for _ in range(200):
             _, grads, _ = model.loss_and_grads(ds.x, ds.y)
-            sgd_momentum_step(params, grads, state)
+            sgd_momentum_step(params, grads, state, SparsityMask({}))
         acc = float((model.predict(ds.x) == ds.y).mean())
         assert acc >= 0.99
 

@@ -7,7 +7,7 @@ import pytest
 
 from anyprune import tensor as T
 from anyprune.errors import ModelSpecError, ShapeError
-from anyprune.models import ModelSpec, build_model, count_params
+from anyprune.models import ModelSpec, build_model
 from anyprune.pruning import SparsityMask, apply_mask
 from anyprune.tensor import softmax_cross_entropy
 
@@ -18,15 +18,7 @@ def test_registry_prunable_flags_and_counts():
     biases = [e for e in model.registry if not e.prunable]
     assert [e.name for e in weights] == ["fc0_w", "fc1_w"]
     assert [e.name for e in biases] == ["fc0_b", "fc1_b"]
-    assert count_params(model.registry, prunable_only=True) == 4 * 8 + 8 * 3
-    assert count_params(model.registry, prunable_only=False) == 56 + 8 + 3
-
-
-def test_count_params_empty_registry():
-    from anyprune.models import ParamRegistry
-
-    assert count_params(ParamRegistry(), prunable_only=True) == 0
-    assert count_params(ParamRegistry(), prunable_only=False) == 0
+    assert SparsityMask.full(model).size == 4 * 8 + 8 * 3
 
 
 def test_build_determinism():

@@ -394,6 +394,19 @@ class TestPruneGlobal:
             np.testing.assert_array_equal(got, want, err_msg=f"keep={keep}")
 
 
+class TestSparsityMask:
+    def test_counts_of_full_partial_and_empty_masks(self):
+        model = build_model(ModelSpec((4,), 3, hidden=(5,)), seed=0)
+        full = SparsityMask.full(model)
+        assert full.kept == {"fc0_w": 20, "fc1_w": 15}
+        assert full.kept_count == full.size == 35
+        partial = SparsityMask({"a": np.array([[1.0, 0.0], [0.0, 1.0]]), "b": np.ones(3)})
+        assert partial.kept == {"a": 2, "b": 3}
+        assert (partial.kept_count, partial.size) == (5, 7)
+        empty = SparsityMask({})
+        assert (empty.kept, empty.kept_count, empty.size) == ({}, 0, 0)
+
+
 class TestApplyMaskAndLayerStats:
     def test_apply_identity_and_idempotence(self):
         model = build_model(ModelSpec((4,), 3, hidden=(5,)), seed=0)
@@ -424,13 +437,13 @@ class TestApplyMaskAndLayerStats:
     def test_layer_fractions_partition(self):
         model = build_model(ModelSpec((4,), 2, hidden=(5,)), seed=0)
         full = SparsityMask.full(model)
-        assert all(frac == 0.0 for _, frac in layer_pruned_fraction(full, model.registry))
+        assert all(frac == 0.0 for _, frac in layer_pruned_fraction(full))
         rng = np.random.default_rng(1)
         mask = SparsityMask({
             e.name: (rng.random(e.tensor.shape) < 0.6).astype(float)
             for e in model.registry.prunable()
         })
-        rows = layer_pruned_fraction(mask, model.registry)
+        rows = layer_pruned_fraction(mask)
         total = sum(e.tensor.size for e in model.registry.prunable())
         pruned_by_layer = 0
         for name, frac in rows[:-1]:
@@ -447,5 +460,8 @@ class TestApplyMaskAndLayerStats:
         arr = np.zeros(10)
         arr[:4] = 1.0
         mask = SparsityMask({"fc0_w": arr.reshape(5, 2)})
-        rows = dict(layer_pruned_fraction(mask, model.registry))
+        rows = dict(layer_pruned_fraction(mask))
         assert rows["fc0_w"] == pytest.approx(0.6)
+
+    def test_empty_mask_has_only_a_zero_global_row(self):
+        assert layer_pruned_fraction(SparsityMask({})) == [("global", 0.0)]

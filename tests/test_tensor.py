@@ -318,7 +318,7 @@ class TestSgdMomentumStep:
     def test_vanilla_step(self):
         p = {"w": Tensor([1.0])}
         state = OptimState(p, lr=0.1, momentum=0.0, weight_decay=0.0)
-        sgd_momentum_step(p, {"w": np.array([2.0])}, state)
+        sgd_momentum_step(p, {"w": np.array([2.0])}, state, SparsityMask({}))
         np.testing.assert_allclose(p["w"].data, [0.8], rtol=1e-15)
 
     def test_masked_position_stays_zero(self):
@@ -339,7 +339,7 @@ class TestSgdMomentumStep:
         p = {"w": Tensor([1.0])}
         state = OptimState(p, lr=0.1, momentum=0.9, weight_decay=1e-4)
         for _ in range(2):
-            sgd_momentum_step(p, {"w": np.array([1.0])}, state)
+            sgd_momentum_step(p, {"w": np.array([1.0])}, state, SparsityMask({}))
         np.testing.assert_allclose(p["w"].data, [w_ref], rtol=1e-15)
         np.testing.assert_allclose(state.velocity["w"], [v_ref], rtol=1e-15)
 
@@ -347,7 +347,10 @@ class TestSgdMomentumStep:
         p = {"w": Tensor([1.0, 2.0])}
         state = OptimState(p, lr=0.1)
         with pytest.raises(ShapeError):
-            sgd_momentum_step(p, {"w": np.zeros(3)}, state)
+            sgd_momentum_step(p, {"w": np.zeros(3)}, state, SparsityMask({}))
+        # a mask that keeps every weight multiplies nothing, yet its shape is checked
+        with pytest.raises(ShapeError, match="mask shape"):
+            sgd_momentum_step(p, {"w": np.zeros(2)}, state, SparsityMask({"w": np.ones(3)}))
 
     def test_masked_closure_after_many_steps(self):
         rng = np.random.default_rng(21)
@@ -363,3 +366,45 @@ class TestSgdMomentumStep:
         for name, m in mask.arrays.items():
             assert np.all(p[name].data[m == 0.0] == 0.0)
             assert np.all(state.velocity[name][m == 0.0] == 0.0)
+
+    @staticmethod
+    def _awkward_values(rng, shape):
+        # normals sprinkled with -0.0 and subnormals
+        a = rng.standard_normal(shape)
+        a.flat[::5] = -0.0
+        a.flat[1::7] = 5e-324 * rng.integers(-3, 4, a.flat[1::7].size)
+        return a
+
+    def test_full_mask_step_is_bitwise_the_maskless_step(self):
+        rng = np.random.default_rng(3)
+        shapes = {"a": (6, 4), "b": (4,), "c": (4, 3)}
+        init = {k: self._awkward_values(rng, s) for k, s in shapes.items()}
+        full = SparsityMask({"a": np.ones((6, 4)), "c": np.ones((4, 3))})
+        runs = []
+        for mask in (full, SparsityMask({})):
+            p = {k: Tensor(v.copy()) for k, v in init.items()}
+            state = OptimState(p, lr=0.05, momentum=0.9, weight_decay=1e-4)
+            steps = np.random.default_rng(4)
+            for _ in range(5):
+                grads = {k: self._awkward_values(steps, s) for k, s in shapes.items()}
+                sgd_momentum_step(p, grads, state, mask)
+            runs.append((p, state))
+        (p_full, s_full), (p_none, s_none) = runs
+        for k in shapes:
+            assert p_full[k].data.tobytes() == p_none[k].data.tobytes()
+            assert s_full.velocity[k].tobytes() == s_none.velocity[k].tobytes()
+
+    def test_only_the_partial_tensor_is_zeroed(self):
+        rng = np.random.default_rng(5)
+        p = {"full": Tensor(rng.standard_normal((3, 3))), "part": Tensor(rng.standard_normal(6))}
+        keep = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+        mask = SparsityMask({"full": np.ones((3, 3)), "part": keep})
+        state = OptimState(p, lr=0.1, momentum=0.9, weight_decay=0.0)
+        for _ in range(3):
+            grads = {k: np.abs(rng.standard_normal(v.shape)) + 1.0 for k, v in p.items()}
+            sgd_momentum_step(p, grads, state, mask)
+        assert np.all(p["part"].data[keep == 0.0] == 0.0)
+        assert np.all(state.velocity["part"][keep == 0.0] == 0.0)
+        assert np.all(p["part"].data[keep == 1.0] != 0.0)
+        assert np.all(p["full"].data != 0.0)
+        assert np.all(state.velocity["full"] != 0.0)
