@@ -14,7 +14,14 @@ from .harness import run
 from .reporting import check_run_dir, emit_svg_from_dir, pruner_label, write_run_dir
 
 # failures that exit 2; a sweep records them per config and runs the rest
-RUNTIME_ERRORS = (AnypruneError, OSError, FloatingPointError)
+RUNTIME_ERRORS = (AnypruneError, OSError, FloatingPointError, MemoryError)
+
+
+def _describe(exc):
+    """One line for a runtime failure; a MemoryError may carry no message."""
+    if isinstance(exc, MemoryError):
+        return f"out of memory: {exc}" if str(exc) else "out of memory"
+    return str(exc)
 
 
 def _execute(config, outdir):
@@ -43,7 +50,7 @@ def _sweep_one(job):
     try:
         _execute(config, outdir)
     except RUNTIME_ERRORS as exc:
-        return str(exc)
+        return _describe(exc)
     return None
 
 
@@ -132,7 +139,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 2
 
 

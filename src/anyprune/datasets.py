@@ -204,6 +204,8 @@ def write_idx(x, y, images_path, labels_path, input_shape):
     n = x.shape[0]
     if y.shape != (n,):
         raise DataError(f"{n} images but labels of shape {y.shape}")
+    if x.size != n * rows * cols:
+        raise DataError(f"images of {x.size // n} values, but {rows}x{cols} images hold {rows * cols}")
     bad = np.flatnonzero(~((x >= 0.0) & (x <= 1.0)))
     if bad.size:
         raise DataError(f"pixel {x.flat[bad[0]]} at flat index {bad[0]} is outside [0, 1]")

@@ -12,6 +12,17 @@ multiplies the transposed view of the output gradient without copying it. 2x2
 mean pooling works on four strided slices of the input. Every kernel is
 deterministic.
 
+The forward and input-gradient products run over blocks of 32 images
+(:func:`_matmul_image_blocks`): at 2 OpenBLAS threads, one product over a
+whole scoring or evaluation batch left a buffer of about its operands' size
+resident. The blocks keep the bits of one product wherever a 32-image product
+takes the same OpenBLAS path as the whole batch. Measured exact: every conv of
+the benchmark and CI configs, and on 7x7 maps every Cin·kh·kw from 72 to 1152
+with 8 to 64 output channels. Measured inexact, where the 32-image product
+takes OpenBLAS's small-matrix path: the input gradient of a conv with 1 or 3
+input channels on 7x7 maps, and the forward on maps of 3x3 or smaller with
+few output channels. gw stays one product: its sum runs over every row.
+
 Dense (matmul) layers do not live here: BLAS already is the fast path for them.
 """
 
@@ -31,8 +42,8 @@ def _pad(x, padding):
     return xp
 
 
-# images per block of im2col copies: a block of the patch matrix stays in cache
-# while its kh·kw taps are written
+# images per block of im2col copies and of conv products: a block of the patch
+# matrix stays in cache while its kh·kw taps are written
 _IM2COL_IMAGES = 32
 
 
@@ -58,11 +69,27 @@ def im2col(x, kh, kw, stride, padding):
     return cols.reshape(b * ho * wo, c * kh * kw)
 
 
+def _matmul_image_blocks(a, b, ho, wo):
+    """``a @ b`` for ``a`` with Ho·Wo rows per image, into one output.
+
+    A batch of up to ``_IM2COL_IMAGES`` images is one product. In a larger one
+    every product has exactly ``_IM2COL_IMAGES`` images: the last ends at the
+    batch's end and recomputes rows of its predecessor, since a short tail
+    product can take OpenBLAS's small-matrix path and change the last bit.
+    """
+    out = np.empty((a.shape[0], b.shape[1]))
+    rows = _IM2COL_IMAGES * ho * wo
+    for start in range(0, a.shape[0], rows):
+        start = max(0, min(start, a.shape[0] - rows))
+        np.matmul(a[start : start + rows], b, out=out[start : start + rows])
+    return out
+
+
 def conv2d_fwd(x, w, stride, padding, cols):
     """conv2d output [B,Ho,Wo,Cout] of ``x``, given ``cols = im2col(x, ...)``."""
     cout = w.shape[0]
     ho, wo = conv2d_output_hw(x.shape[1], x.shape[2], w.shape[2], w.shape[3], stride, padding)
-    out = cols @ w.transpose(1, 2, 3, 0).reshape(-1, cout)  # [B·Ho·Wo, Cout]
+    out = _matmul_image_blocks(cols, w.transpose(1, 2, 3, 0).reshape(-1, cout), ho, wo)
     return out.reshape(x.shape[0], ho, wo, cout)
 
 
@@ -85,7 +112,8 @@ def conv2d_bwd(x, w, gout, stride, padding, cols):
     _, ho, wo, cout = gout.shape
     kh, kw = w.shape[2], w.shape[3]
     # per-output-position input gradient, scattered back over (u, v) offsets
-    gcols = (gout.reshape(-1, cout) @ w.reshape(cout, -1)).reshape(b, ho, wo, cin, kh, kw)
+    gcols = _matmul_image_blocks(gout.reshape(-1, cout), w.reshape(cout, -1), ho, wo)
+    gcols = gcols.reshape(b, ho, wo, cin, kh, kw)
     gxp = np.zeros((b, h + 2 * padding, wd + 2 * padding, cin))
     for u in range(kh):
         for v in range(kw):

@@ -352,6 +352,13 @@ class TestIdx:
             write_idx(x, y, ip, lp, (1, 2, 2))
         assert not ip.exists() and not lp.exists()
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_row_width_other_than_rows_times_cols_rejected_before_writing(self, tmp_path, width):
+        ip, lp = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+        with pytest.raises(DataError, match=rf"^images of {width} values, but 2x2 images hold 4$"):
+            write_idx(np.zeros((1, width)), np.array([1]), ip, lp, (1, 2, 2))
+        assert not ip.exists() and not lp.exists()
+
 
 class TestSynthetic:
     def test_blobs_deterministic(self):
@@ -648,6 +655,55 @@ class TestCli:
             "idx_test_images = /nonexistent/c\nidx_test_labels = /nonexistent/d\n"
         )
         assert main(["run", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 1.00 GiB", "error: out of memory: Unable to allocate 1.00 GiB"),
+            ("", "error: out of memory"),
+        ],
+    )
+    def test_out_of_memory_exits_2_with_one_line_and_no_run_dir(
+        self, tmp_path, capsys, monkeypatch, message, line
+    ):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(SMALL_RUN)
+
+        def exhausted(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("anyprune.cli.run", exhausted)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert captured.out == ""
+
+    def test_sweep_records_an_out_of_memory_config_as_failed_and_runs_the_rest(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a_huge.cfg").write_text(SMALL_RUN)
+        (cfg_dir / "b_small.cfg").write_text(SMALL_RUN + "seed = 1\n")
+        real = anyprune.cli.run
+
+        def exhausted_at_seed_0(config):
+            if config.seed == 0:
+                raise MemoryError()
+            return real(config)
+
+        monkeypatch.setattr("anyprune.cli.run", exhausted_at_seed_0)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg_dir), "--out", str(out)]) == 2
+        assert not (out / "a_huge").exists()
+        assert (out / "b_small" / "summary.json").exists()
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "sweep: 1 of 2 configs finished",
+            f"failed  {cfg_dir / 'a_huge.cfg'}: out of memory",
+            f"ok      {cfg_dir / 'b_small.cfg'} -> {out / 'b_small'}",
+        ]
 
     @pytest.mark.parametrize("empty", ["train", "test"])
     def test_empty_idx_file_exits_2_naming_the_file(self, tmp_path, capsys, empty):

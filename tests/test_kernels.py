@@ -282,3 +282,62 @@ def test_channel_bias_gradient_sums_every_position_of_a_channel():
     tape.backward(loss)
     assert np.array_equal(x.grad, _nhwc(g_nchw))
     np.testing.assert_allclose(b.grad, g_nchw.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+
+
+# (Ho·Wo, Cin, Cout) of 3x3, padding-1 convs: the first layer on 14x14 digits
+# (K = Cin·9 = 9), the 8-16 convnet's second layer (K = 72), and a 32-32 one
+# (K = 288). Blocks keep the bits only where a 32-image product takes the
+# whole batch's OpenBLAS path; the kernels docstring names shapes where not.
+BLOCKED_CONVS = [((14, 14), 1, 8), ((7, 7), 8, 16), ((7, 7), 32, 32)]
+
+
+def _blocked_conv_operands(b, hw, cin, cout, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((b, *hw, cin))
+    w = rng.standard_normal((cout, cin, 3, 3))
+    g = rng.standard_normal((b, *hw, cout))
+    return x, w, g, kernels.im2col(x, 3, 3, 1, 1)
+
+
+@pytest.mark.parametrize("hw,cin,cout", BLOCKED_CONVS)
+@pytest.mark.parametrize("b", [1, 31, 32, 33, 65, 256])
+def test_blocked_products_keep_the_bits_of_one_product(b, hw, cin, cout):
+    x, w, g, cols = _blocked_conv_operands(b, hw, cin, cout, seed=59)
+    out = kernels.conv2d_fwd(x, w, 1, 1, cols)
+    whole = cols @ w.transpose(1, 2, 3, 0).reshape(-1, cout)
+    assert np.array_equal(out, whole.reshape(out.shape))
+    gx, _ = kernels.conv2d_bwd(x, w, g, 1, 1, cols)
+    gcols = (g.reshape(-1, cout) @ w.reshape(cout, -1)).reshape(b, *hw, cin, 3, 3)
+    gxp = np.zeros((b, hw[0] + 2, hw[1] + 2, cin))
+    for u in range(3):
+        for v in range(3):
+            gxp[:, u : u + hw[0], v : v + hw[1], :] += gcols[:, :, :, :, u, v]
+    assert np.array_equal(gx, gxp[:, 1:-1, 1:-1, :])
+
+
+@pytest.mark.parametrize("hw,cin,cout", BLOCKED_CONVS)
+def test_no_conv_product_takes_more_than_32_images(monkeypatch, hw, cin, cout):
+    b = 121
+    x, w, g, cols = _blocked_conv_operands(b, hw, cin, cout, seed=61)
+    calls = []
+    real = np.matmul
+
+    def recorded(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(kernels.np, "matmul", recorded)
+    kernels.conv2d_fwd(x, w, 1, 1, cols)
+    kernels.conv2d_bwd(x, w, g, 1, 1, cols)
+    monkeypatch.undo()
+    block = 32 * hw[0] * hw[1]
+    # the forward and the input gradient each cover the batch in 32-image products
+    assert calls == [block] * 8
+
+
+def test_kernel_gradient_is_one_product_over_the_whole_batch():
+    x, w, g, cols = _blocked_conv_operands(256, (7, 7), 8, 16, seed=67)
+    gw = kernels.conv2d_bwd_w(w, g, cols)
+    assert np.array_equal(gw, (g.reshape(-1, 16).T @ cols).reshape(w.shape))
+    _, gw_bwd = kernels.conv2d_bwd(x, w, g, 1, 1, cols)
+    assert np.array_equal(gw_bwd, gw)
