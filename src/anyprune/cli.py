@@ -1,27 +1,28 @@
 """Command-line interface: run one config, sweep a directory, or re-plot a run.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime or numeric error.
+Exit codes: 0 success, 1 configuration error, 2 any other failure.
 """
 
 import argparse
 import concurrent.futures
 import os
 import sys
+import traceback
 
 from .config import parse_config, run_id
 from .errors import AnypruneError, ConfigError
 from .harness import run
 from .reporting import check_run_dir, emit_svg_from_dir, pruner_label, write_run_dir
 
-# failures that exit 2; a sweep records them per config and runs the rest
-RUNTIME_ERRORS = (AnypruneError, OSError, FloatingPointError, MemoryError)
-
 
 def _describe(exc):
-    """One line for a runtime failure; a MemoryError may carry no message."""
+    """One line for a failure; an unexpected one prints its traceback first."""
     if isinstance(exc, MemoryError):
         return f"out of memory: {exc}" if str(exc) else "out of memory"
-    return str(exc)
+    if isinstance(exc, (AnypruneError, OSError)):
+        return str(exc)
+    traceback.print_exception(exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _execute(config, outdir):
@@ -49,7 +50,7 @@ def _sweep_one(job):
     _, config, outdir = job
     try:
         _execute(config, outdir)
-    except RUNTIME_ERRORS as exc:
+    except Exception as exc:  # recorded as failed; the sweep runs the rest
         return _describe(exc)
     return None
 
@@ -138,7 +139,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except RUNTIME_ERRORS as exc:
+    except Exception as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 2
 

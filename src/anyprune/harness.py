@@ -140,8 +140,8 @@ def _check_loss(kind, loss, t, epoch, global_iter):
         )
 
 
-def train_megabatch(model, mask, view, config, t, epochs, optim=None, global_iter=0, observer=None):
-    """Train the view for the given epochs, tracking the best val checkpoint.
+def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global_iter=0, observer=None):
+    """Train the view's rows of the dataset for the given epochs, tracking the best val checkpoint.
 
     Returns (best_snapshot, best_record, epoch_records, global_iter); the best
     snapshot is the parameter copy from the epoch with the highest validation
@@ -151,8 +151,6 @@ def train_megabatch(model, mask, view, config, t, epochs, optim=None, global_ite
     """
     if epochs and view.train_idx.size == 0:
         raise DataError("megabatch training view has no training samples")
-    if optim is None:
-        optim = OptimState(model.params(), config.lr0, config.momentum, config.weight_decay)
     params = model.params()
     kept = mask.kept_count
     records = []
@@ -163,7 +161,8 @@ def train_megabatch(model, mask, view, config, t, epochs, optim=None, global_ite
         correct = 0
         loss_sum = 0.0
         for start in range(0, order.size, config.minibatch):
-            xb, yb = view.train_xy(order[start : start + config.minibatch])
+            batch = order[start : start + config.minibatch]
+            xb, yb = dataset.x[batch], dataset.y[batch]
             with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
                 step_loss, grads, logits = model.loss_and_grads(xb, yb)
             global_iter += 1
@@ -174,7 +173,9 @@ def train_megabatch(model, mask, view, config, t, epochs, optim=None, global_ite
             if observer is not None and hasattr(observer, "on_step"):
                 observer.on_step(t, epoch, model, optim, mask)
         with np.errstate(over="ignore", invalid="ignore"):
-            val_correct, val_total, val_loss = evaluate(model, *view.val_xy())
+            val_correct, val_total, val_loss = evaluate(
+                model, dataset.x[view.val_idx], dataset.y[view.val_idx]
+            )
         _check_loss("validation", val_loss, t, epoch, global_iter)
         rec = EpochRecord(
             megabatch=t, epoch=epoch, lr=optim.lr, global_iter=global_iter,
@@ -301,7 +302,7 @@ def run(config, observer=None):
         optim = OptimState(model.params(), config.lr0, config.momentum, config.weight_decay)
         events = []  # (kind, detail), numbered in order below
         snap, best_rec, records, global_iter = train_megabatch(
-            model, mask, view, config, t, epochs=range(1, at + 1),
+            model, mask, dataset, view, config, t, epochs=range(1, at + 1),
             optim=optim, global_iter=global_iter, observer=observer,
         )
         log.epochs.extend(records)
@@ -321,7 +322,7 @@ def run(config, observer=None):
                 optim.velocity[name] *= m
             events.append(("prune", detail))
         snap, rec, records, global_iter = train_megabatch(
-            model, mask, view, config, t, epochs=range(at + 1, config.epochs + 1),
+            model, mask, dataset, view, config, t, epochs=range(at + 1, config.epochs + 1),
             optim=optim, global_iter=global_iter, observer=observer,
         )
         log.epochs.extend(records)

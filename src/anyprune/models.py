@@ -106,8 +106,6 @@ class Model:
         Image-shaped input is in (c, h, w) order, as ``spec.input_shape``.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
         d = int(np.prod(self.spec.input_shape))
         if int(np.prod(x.shape[1:])) != d:
             raise ShapeError(

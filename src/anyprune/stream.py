@@ -1,4 +1,10 @@
-"""Megabatch streams: equal-size partitions with train/val splits and replay views."""
+"""Megabatch streams: equal-size partitions with train/val splits and replay views.
+
+``build_stream`` returns the stream as a list of ``Megabatch(train_idx,
+val_idx)``. ``replay_view`` returns one ``Megabatch``: under ``"full"`` a new
+one that joins the first t megabatches, under ``"none"`` the stream's own,
+read-only t-th megabatch.
+"""
 
 from dataclasses import dataclass
 
@@ -16,38 +22,10 @@ from .rng import (
 
 @dataclass
 class Megabatch:
+    """Train and validation indices into the dataset's training pool."""
+
     train_idx: np.ndarray
     val_idx: np.ndarray
-
-    @property
-    def size(self):
-        return self.train_idx.size + self.val_idx.size
-
-
-@dataclass
-class MegabatchStream:
-    """An ordered, pairwise-disjoint partition of the training pool."""
-
-    dataset: object
-    megabatches: list
-
-    def __len__(self):
-        return len(self.megabatches)
-
-
-@dataclass
-class TrainView:
-    """One megabatch's training view: dataset plus train/validation indices."""
-
-    dataset: object
-    train_idx: np.ndarray
-    val_idx: np.ndarray
-
-    def train_xy(self, order):
-        return self.dataset.x[order], self.dataset.y[order]
-
-    def val_xy(self):
-        return self.dataset.x[self.val_idx], self.dataset.y[self.val_idx]
 
 
 def build_stream(dataset, num_megabatches, val_frac=0.1, per_class_cap=None, seed=0):
@@ -81,37 +59,31 @@ def build_stream(dataset, num_megabatches, val_frac=0.1, per_class_cap=None, see
             f"cannot split {pool.size} samples into {num_megabatches} megabatches"
         )
     perm = rng_from(STREAM_PARTITION, seed).permutation(pool)
+    perm.flags.writeable = False  # every megabatch is a view of it
     val_n = round_half_up(val_frac * per_mb)
     train_n = per_mb - val_n
     if train_n < 1 or val_n < 1:
         raise PartitionError(
             f"megabatch size {per_mb} with val_frac {val_frac} leaves an empty split"
         )
-    megabatches = []
-    for t in range(num_megabatches):
-        chunk = perm[t * per_mb : (t + 1) * per_mb]
-        megabatches.append(Megabatch(train_idx=chunk[:train_n], val_idx=chunk[train_n:]))
-    return MegabatchStream(dataset=dataset, megabatches=megabatches)
+    chunks = perm[: num_megabatches * per_mb].reshape(num_megabatches, per_mb)
+    return [Megabatch(train_idx=c[:train_n], val_idx=c[train_n:]) for c in chunks]
 
 
 def replay_view(stream, t, replay="full"):
-    """Training view at megabatch ``t`` (1-based): union so far, or just M_t."""
+    """Training view at megabatch ``t`` (1-based): union so far, or just M_t.
+
+    Under ``"none"`` the view is the stream's own megabatch, not a copy.
+    """
     if not 1 <= t <= len(stream):
         raise IndexError(f"megabatch index {t} outside 1..{len(stream)}")
     if replay == "full":
-        mbs = stream.megabatches[:t]
-        return TrainView(
-            dataset=stream.dataset,
-            train_idx=np.concatenate([m.train_idx for m in mbs]),
-            val_idx=np.concatenate([m.val_idx for m in mbs]),
+        return Megabatch(
+            train_idx=np.concatenate([m.train_idx for m in stream[:t]]),
+            val_idx=np.concatenate([m.val_idx for m in stream[:t]]),
         )
     if replay == "none":
-        m = stream.megabatches[t - 1]
-        return TrainView(
-            dataset=stream.dataset,
-            train_idx=m.train_idx.copy(),
-            val_idx=m.val_idx.copy(),
-        )
+        return stream[t - 1]
     raise ParameterError(f"unknown replay mode {replay!r}")
 
 

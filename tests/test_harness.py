@@ -10,6 +10,7 @@ from anyprune.config import parse_config
 from anyprune.errors import NumericError
 from anyprune.harness import run, train_megabatch
 from anyprune.models import ModelSpec, build_model
+from anyprune.optim import OptimState
 from anyprune.pruning import SparsityMask, keep_count, make_delta_schedule
 from anyprune.rng import round_half_up
 from anyprune.stream import build_stream, replay_view
@@ -276,8 +277,10 @@ class TestTrainMegabatch:
         stream = build_stream(dataset, cfg.megabatches, cfg.val_fraction, None, cfg.seed_partition)
         model = build_model(ModelSpec((8,), 3, hidden=(12,)), seed=cfg.seed_init)
         before = model.snapshot()
+        optim = OptimState(model.params(), cfg.lr0, cfg.momentum, cfg.weight_decay)
         snap, rec, records, gi = train_megabatch(
-            model, SparsityMask.full(model), replay_view(stream, 1, "full"), cfg, 1, epochs=range(0),
+            model, SparsityMask.full(model), dataset, replay_view(stream, 1, "full"), cfg, 1,
+            epochs=range(0), optim=optim,
         )
         assert snap is None and rec is None and records == [] and gi == 0
         for name, arr in before.items():

@@ -661,6 +661,8 @@ class TestCli:
         [
             ("Unable to allocate 1.00 GiB", "error: out of memory: Unable to allocate 1.00 GiB"),
             ("", "error: out of memory"),
+            # an unexpected exception also exits 2, its traceback before the line
+            (RuntimeError("injected"), "error: RuntimeError: injected"),
         ],
     )
     def test_out_of_memory_exits_2_with_one_line_and_no_run_dir(
@@ -670,14 +672,18 @@ class TestCli:
         cfg.write_text(SMALL_RUN)
 
         def exhausted(config):
-            raise MemoryError(message)
+            raise message if isinstance(message, Exception) else MemoryError(message)
 
         monkeypatch.setattr("anyprune.cli.run", exhausted)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         captured = capsys.readouterr()
-        assert captured.err == line + "\n"
+        if isinstance(message, Exception):
+            assert captured.err.startswith("Traceback (most recent call last):\n")
+            assert captured.err.endswith("\nRuntimeError: injected\n" + line + "\n")
+        else:
+            assert captured.err == line + "\n"
         assert captured.out == ""
 
     def test_sweep_records_an_out_of_memory_config_as_failed_and_runs_the_rest(
@@ -686,24 +692,31 @@ class TestCli:
         cfg_dir = tmp_path / "cfgs"
         cfg_dir.mkdir()
         (cfg_dir / "a_huge.cfg").write_text(SMALL_RUN)
+        (cfg_dir / "a_injected.cfg").write_text(SMALL_RUN + "seed = 2\n")
         (cfg_dir / "b_small.cfg").write_text(SMALL_RUN + "seed = 1\n")
         real = anyprune.cli.run
 
         def exhausted_at_seed_0(config):
             if config.seed == 0:
                 raise MemoryError()
+            if config.seed == 2:
+                raise RuntimeError("injected")
             return real(config)
 
         monkeypatch.setattr("anyprune.cli.run", exhausted_at_seed_0)
         out = tmp_path / "out"
         assert main(["sweep", str(cfg_dir), "--out", str(out)]) == 2
         assert not (out / "a_huge").exists()
+        assert not (out / "a_injected").exists()
         assert (out / "b_small" / "summary.json").exists()
-        assert capsys.readouterr().out.splitlines()[-3:] == [
-            "sweep: 1 of 2 configs finished",
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-4:] == [
+            "sweep: 1 of 3 configs finished",
             f"failed  {cfg_dir / 'a_huge.cfg'}: out of memory",
+            f"failed  {cfg_dir / 'a_injected.cfg'}: RuntimeError: injected",
             f"ok      {cfg_dir / 'b_small.cfg'} -> {out / 'b_small'}",
         ]
+        assert captured.err.endswith("\nRuntimeError: injected\n")
 
     @pytest.mark.parametrize("empty", ["train", "test"])
     def test_empty_idx_file_exits_2_naming_the_file(self, tmp_path, capsys, empty):

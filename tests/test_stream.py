@@ -22,27 +22,27 @@ def _toy_dataset(n, classes=5, dim=3, seed=0):
 class TestBuildStream:
     def test_equal_megabatch_sizes_like_cifar(self):
         stream = build_stream(_toy_dataset(50000), 8, seed=1)
-        assert all(m.size == 6250 for m in stream.megabatches)
-        assert all(m.train_idx.size == 5625 and m.val_idx.size == 625 for m in stream.megabatches)
+        assert all(m.train_idx.size + m.val_idx.size == 6250 for m in stream)
+        assert all(m.train_idx.size == 5625 and m.val_idx.size == 625 for m in stream)
 
     def test_per_class_cap_totals(self):
         ds = _toy_dataset(14 * 300, classes=14)
         stream = build_stream(ds, 30, per_class_cap=270, seed=0)
-        total = sum(m.size for m in stream.megabatches)
+        total = sum(m.train_idx.size + m.val_idx.size for m in stream)
         assert 14 * 270 == 3780
         assert total == 3780  # 30 megabatches of 126
-        assert all(m.size == 126 for m in stream.megabatches)
+        assert all(m.train_idx.size + m.val_idx.size == 126 for m in stream)
 
     def test_remainder_dropped(self):
         stream = build_stream(_toy_dataset(1003), 10, seed=3)
         assert len(stream) == 10
-        assert all(m.size == 100 for m in stream.megabatches)
-        used = np.concatenate([np.concatenate([m.train_idx, m.val_idx]) for m in stream.megabatches])
+        assert all(m.train_idx.size + m.val_idx.size == 100 for m in stream)
+        used = np.concatenate([np.concatenate([m.train_idx, m.val_idx]) for m in stream])
         assert used.size == 1000
 
     def test_megabatches_pairwise_disjoint(self):
         stream = build_stream(_toy_dataset(200), 4, seed=2)
-        used = np.concatenate([np.concatenate([m.train_idx, m.val_idx]) for m in stream.megabatches])
+        used = np.concatenate([np.concatenate([m.train_idx, m.val_idx]) for m in stream])
         assert np.unique(used).size == used.size
 
     def test_cap_exceeding_population_rejected(self):
@@ -56,7 +56,7 @@ class TestBuildStream:
     def test_determinism(self):
         a = build_stream(_toy_dataset(300), 3, seed=9)
         b = build_stream(_toy_dataset(300), 3, seed=9)
-        for ma, mb in zip(a.megabatches, b.megabatches):
+        for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma.train_idx, mb.train_idx)
             np.testing.assert_array_equal(ma.val_idx, mb.val_idx)
 
@@ -64,7 +64,7 @@ class TestBuildStream:
         ds = gen_blobs(3, 40, 4, 0.3, seed=5, test_per_class=8)
         stream = build_stream(ds, 2, seed=5)
         # stream indices address the train pool only; test set lives apart
-        used = np.concatenate([np.concatenate([m.train_idx, m.val_idx]) for m in stream.megabatches])
+        used = np.concatenate([np.concatenate([m.train_idx, m.val_idx]) for m in stream])
         assert used.max() < ds.x.shape[0]
         assert ds.x_test.shape[0] > 0
 
@@ -93,6 +93,22 @@ class TestReplayView:
         base = replay_view(stream, 1, "full").train_idx.size
         for t in range(1, 9):
             assert replay_view(stream, t, "full").train_idx.size == t * base
+
+    def test_views_are_the_stream_in_order(self):
+        stream = build_stream(_toy_dataset(400), 4, seed=6)
+        for t in range(1, 5):
+            full = replay_view(stream, t, "full")
+            np.testing.assert_array_equal(
+                full.train_idx, np.concatenate([m.train_idx for m in stream[:t]])
+            )
+            np.testing.assert_array_equal(
+                full.val_idx, np.concatenate([m.val_idx for m in stream[:t]])
+            )
+            none = replay_view(stream, t, "none")
+            assert none.train_idx is stream[t - 1].train_idx
+            assert none.val_idx is stream[t - 1].val_idx
+            # the stream's own arrays cannot be written through a view
+            assert not (none.train_idx.flags.writeable or none.val_idx.flags.writeable)
 
     def test_out_of_range(self):
         stream = build_stream(_toy_dataset(100), 2, seed=0)
