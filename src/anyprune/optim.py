@@ -47,5 +47,6 @@ def sgd_momentum_step(params, grads, state, mask):
             if m.shape != p.shape:
                 raise ShapeError(f"mask shape {m.shape} != param shape {p.shape} for {name}")
             if mask.kept[name] < m.size:
+                m = m.astype(np.float64)  # cast once: a bool operand is cast again in each product
                 p.data *= m
                 v *= m

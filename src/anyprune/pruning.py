@@ -1,14 +1,15 @@
 """Saliency scoring and progressive global pruning.
 
-Masks are per-prunable-tensor 0/1 arrays keyed by registry name. Scorers rate
-every position from the weights and a batch gradient alone; pruning only ever
-refines an existing mask, because :func:`prune_global` ignores the scores of
-positions the mask already prunes. It keeps exactly the requested number of
-highest-scoring positions across all prunable tensors jointly, breaking ties
-toward the smaller global flat index (registry order, then row-major offset).
-Selection is linear in the number of positions: a partition finds the
-threshold score, every position scoring above it is kept, and the positions
-tied at it fill the remaining slots in flat-index order.
+Masks are per-prunable-tensor bool arrays keyed by registry name that count
+their own kept positions. Scorers rate every position from the weights and a
+batch gradient alone; pruning only ever refines an existing mask, because
+:func:`prune_global` ignores the scores of positions the mask already prunes.
+It keeps exactly the requested number of highest-scoring positions across all
+prunable tensors jointly, breaking ties toward the smaller global flat index
+(registry order, then row-major offset). Selection is linear in the number of
+positions and holds one float64 buffer: an in-place partition finds the
+threshold score, every position above it is kept, and the positions tied at it
+fill the remaining slots in flat-index order.
 
 SNIP and GraSP take the mean loss gradient over the scoring set in slices of
 ``SCORE_CHUNK`` rows. The scoring set grows with the replay view, and one
@@ -32,20 +33,20 @@ SCORE_CHUNK = 256
 
 
 class SparsityMask:
-    """Binary keep-masks per prunable tensor, counted in ``kept``, ``kept_count`` and ``size``."""
+    """Bool keep-masks per prunable tensor, counted in ``kept``, ``kept_count`` and ``size``."""
 
     def __init__(self, arrays):
         for name, a in arrays.items():
             if not np.all((a == 0.0) | (a == 1.0)):
                 raise ParameterError(f"mask {name!r} has entries outside {{0, 1}}")
-        self.arrays = {name: np.ascontiguousarray(a, dtype=np.float64) for name, a in arrays.items()}
+        self.arrays = {name: np.ascontiguousarray(a, dtype=bool) for name, a in arrays.items()}
         self.kept = {name: int(np.count_nonzero(a)) for name, a in self.arrays.items()}
         self.kept_count = sum(self.kept.values())
         self.size = sum(a.size for a in self.arrays.values())
 
     @classmethod
     def full(cls, model):
-        return cls({e.name: np.ones(e.tensor.shape) for e in model.registry.prunable()})
+        return cls({e.name: np.ones(e.tensor.shape, dtype=bool) for e in model.registry.prunable()})
 
 
 def make_delta_schedule(tau, steps):
@@ -103,7 +104,10 @@ def score_snip(model, x, y):
     needs does not grow with the scoring set.
     """
     grads = _mean_grads(model, x, y)
-    return {e.name: np.abs(grads[e.name] * e.tensor.data) for e in model.registry.prunable()}
+    scores = {e.name: grads[e.name] for e in model.registry.prunable()}
+    for name, g in scores.items():  # fresh buffers, so each is scored in place
+        np.abs(np.multiply(g, model.registry[name].tensor.data, out=g), out=g)
+    return scores
 
 
 def score_grasp(model, mask, x, y):
@@ -155,12 +159,25 @@ def selection_scores(pruner, model, mask, x=None, y=None, seed=None):
     if pruner == "snip":
         return score_snip(model, x, y)
     if pruner == "grasp":
-        return {name: -s for name, s in score_grasp(model, mask, x, y).items()}
+        return {name: np.negative(s, out=s) for name, s in score_grasp(model, mask, x, y).items()}
     if pruner == "magnitude":
         return score_magnitude(model)
     if pruner == "random":
         return score_random(mask, seed)
     raise ParameterError(f"unknown pruner {pruner!r}")
+
+
+def _fill_negated(parts, mask, scores):
+    """Write each tensor's negated scores into its view in ``parts``, +inf where ``mask`` prunes."""
+    for (name, m), part in zip(mask.arrays.items(), parts):
+        s = np.asarray(scores[name], dtype=np.float64)
+        if s.shape != m.shape:
+            raise ShapeError(f"score shape {s.shape} != mask shape {m.shape} for {name!r}")
+        np.negative(s.ravel(), out=part)
+        np.minimum(part, np.finfo(np.float64).max, out=part)  # kept -inf: before pruned ones
+        part[~m.ravel()] = np.inf
+        if np.isnan(part).any():
+            raise NumericError(f"NaN score at a kept position of {name!r}")
 
 
 def prune_global(mask, scores, keep):
@@ -173,43 +190,25 @@ def prune_global(mask, scores, keep):
     if keep < 1:
         raise ParameterError(f"keep must be >= 1, got {keep}")
     if keep > mask.kept_count:
-        raise RefinementError(
-            f"cannot keep {keep} positions: only {mask.kept_count} currently kept"
-        )
-    names = list(mask.arrays)
-    missing = [n for n in names if n not in scores]
+        raise RefinementError(f"cannot keep {keep} positions: only {mask.kept_count} currently kept")
+    missing = [n for n in mask.arrays if n not in scores]
     if missing:
         raise ShapeError(f"scores missing for {missing}")
-    # negated scores in global flat order: kept positions rank by score and
-    # every pruned one (+inf) after them
+    cuts = np.cumsum([m.size for m in mask.arrays.values()])[:-1]
+    # the keep-th smallest negated score is the threshold; the partition
+    # reorders the buffer, so it is filled again in flat order to select
     neg = np.empty(mask.size)
-    offset = 0
-    for name in names:
-        m = mask.arrays[name]
-        s = np.asarray(scores[name], dtype=np.float64)
-        if s.shape != m.shape:
-            raise ShapeError(f"score shape {s.shape} != mask shape {m.shape} for {name!r}")
-        part = neg[offset : offset + m.size]
-        np.negative(s.ravel(), out=part)
-        np.minimum(part, np.finfo(np.float64).max, out=part)  # kept -inf: before pruned ones
-        part[m.ravel() == 0.0] = np.inf
-        if np.isnan(part).any():
-            raise NumericError(f"NaN score at a kept position of {name!r}")
-        offset += m.size
-    # the keep-th smallest value is the threshold: keep every position below
-    # it, then fill the slots left from the positions tied at it, lowest first
-    thr = np.partition(neg, keep - 1)[keep - 1]
-    new_flat = (neg < thr).astype(np.float64)
+    _fill_negated(np.split(neg, cuts), mask, scores)
+    neg.partition(keep - 1)
+    thr = neg[keep - 1]
+    _fill_negated(np.split(neg, cuts), mask, scores)
+    # keep every position below the threshold, then fill the slots left from
+    # the positions tied at it, lowest first
+    new_flat = neg < thr
     need = keep - int(np.count_nonzero(new_flat))
-    new_flat[np.flatnonzero(neg == thr)[:need]] = 1.0
-
-    arrays = {}
-    offset = 0
-    for name in names:
-        a = mask.arrays[name]
-        arrays[name] = new_flat[offset : offset + a.size].reshape(a.shape)
-        offset += a.size
-    return SparsityMask(arrays)
+    new_flat[np.flatnonzero(neg == thr)[:need]] = True
+    parts = np.split(new_flat, cuts)
+    return SparsityMask({name: p.reshape(m.shape) for (name, m), p in zip(mask.arrays.items(), parts)})
 
 
 def apply_mask(model, mask):

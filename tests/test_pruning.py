@@ -108,6 +108,17 @@ class TestSnip:
         new = prune_global(mask, scores, keep=1)
         np.testing.assert_array_equal(new.arrays["w"], [1.0, 0.0])
 
+    def test_scores_in_place_without_moving_weights(self):
+        model, x, y = _scoring_case(ModelSpec((6,), 3, hidden=(9,)), 2 * SCORE_CHUNK + 5, seed=4)
+        before = model.snapshot()
+        mean = _mean_grads(model, x, y)
+        got = score_snip(model, x, y)
+        assert list(got) == [e.name for e in model.registry.prunable()]
+        for e in model.registry:
+            assert e.tensor.data.tobytes() == before[e.name].tobytes(), e.name
+        for name, s in got.items():
+            assert s.tobytes() == np.abs(mean[name] * before[name]).tobytes(), name
+
     def test_empty_pi_rejected(self):
         model = _LinearSquaredModel([1.0])
         mask = SparsityMask({"w": np.ones(1)})
@@ -284,18 +295,56 @@ class TestPruneGlobal:
 
     def test_nan_at_a_kept_position_rejected(self):
         mask = SparsityMask({"w": np.array([1.0, 0.0, 1.0])})
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="'w'"):
             prune_global(mask, {"w": np.array([1.0, 2.0, np.nan])}, keep=1)
 
     def test_nan_on_a_full_mask_rejected(self):
         mask = SparsityMask({"w": np.ones(3)})
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="'w'"):
             prune_global(mask, {"w": np.array([1.0, np.nan, 2.0])}, keep=2)
 
     def test_kept_nans_outnumbering_pruned_positions_rejected(self):
         mask = SparsityMask({"w": np.array([1.0, 1.0, 1.0, 0.0])})
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="'w'"):
             prune_global(mask, {"w": np.array([np.nan, np.nan, 1.0, 5.0])}, keep=2)
+
+    def test_scores_and_input_mask_left_unchanged(self):
+        rng = np.random.default_rng(5)
+        kept_a = rng.random((6, 4)) < 0.7
+        mask = SparsityMask({"a": kept_a, "b": rng.random(9) < 0.7})
+        scores = {"a": rng.standard_normal((6, 4)), "b": rng.standard_normal(9)}
+        scores["a"][~kept_a] = np.nan
+        scores["b"][:2] = (-0.0, -np.inf)
+        want_scores = {n: s.tobytes() for n, s in scores.items()}
+        want_mask = {n: a.tobytes() for n, a in mask.arrays.items()}
+        kept = dict(mask.kept)
+        prune_global(mask, scores, keep=mask.kept_count // 2)
+        assert {n: s.tobytes() for n, s in scores.items()} == want_scores
+        assert {n: a.tobytes() for n, a in mask.arrays.items()} == want_mask
+        assert mask.kept == kept
+
+    def test_selection_holds_one_float64_copy(self):
+        # the prune_wide MLP's hidden weights, allocated before tracing starts;
+        # tracemalloc counts numpy's buffers in their own domain
+        rng = np.random.default_rng(7)
+        shapes = {"fc0_w": (196, 1024), "fc1_w": (1024, 512)}
+        mask = SparsityMask({n: rng.random(s) < 0.8 for n, s in shapes.items()})
+        scores = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        assert mask.size == 724_992
+        prune_global(mask, scores, keep=1)  # warm-up
+        tracemalloc.start()
+        try:
+            new = prune_global(mask, scores, keep=mask.size // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+            alive = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert new.kept_count == mask.size // 2
+        assert peak <= 1.5 * 8 * mask.size, peak
+        retained = sum(stat.size for stat in alive.statistics("filename"))
+        assert retained <= mask.size, retained
 
     def test_tie_break_exhaustive_small_vectors(self):
         # every 0/1/2-valued score vector of length <= 8, every keep count
@@ -405,6 +454,22 @@ class TestSparsityMask:
         assert (partial.kept_count, partial.size) == (5, 7)
         empty = SparsityMask({})
         assert (empty.kept, empty.kept_count, empty.size) == ({}, 0, 0)
+
+    def test_arrays_are_bool_one_byte_per_position(self):
+        model = build_model(ModelSpec((4,), 3, hidden=(5,)), seed=0)
+        full = SparsityMask.full(model)
+        pruned = prune_global(full, score_magnitude(model), keep=10)
+        for mask in (full, pruned):
+            for a in mask.arrays.values():
+                assert a.dtype == bool and a.nbytes == a.size
+
+    def test_float_zero_one_input_accepted_other_values_rejected(self):
+        mask = SparsityMask({"w": np.array([[1.0, 0.0], [0.0, 1.0]])})
+        np.testing.assert_array_equal(mask.arrays["w"], [[True, False], [False, True]])
+        assert mask.kept == {"w": 2}
+        for bad in (0.5, np.nan):
+            with pytest.raises(ParameterError, match="'w' has entries outside"):
+                SparsityMask({"w": np.array([1.0, bad])})
 
 
 class TestApplyMaskAndLayerStats:
