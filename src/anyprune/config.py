@@ -230,6 +230,8 @@ def parse_config(source, seed_override=None):
         resolved[name] = value
     if resolved["variant"] == "app_noreplay_snip" and resolved["pruner"] != "snip":
         raise ConfigError("app_noreplay_snip requires the snip pruner", "pruner")
+    if resolved["model"] == "convnet" and resolved["dataset"] != "idx":
+        raise ConfigError("convnet needs (c, h, w) images: only dataset = idx has them", "model")
     return RunConfig(**resolved)
 
 

@@ -48,7 +48,10 @@ class ModelSpec:
     def flat_dim(self):
         """Flattened feature count after the conv/pool stack."""
         shape = self.input_shape
-        for cout, k, stride, pad in self.conv_stack:
+        for i, (cout, k, stride, pad) in enumerate(self.conv_stack):
+            ph, pw = shape[1] + 2 * pad, shape[2] + 2 * pad
+            if k > min(ph, pw):
+                raise ModelSpecError(f"conv{i}: kernel {k}x{k} exceeds its padded {ph}x{pw} map")
             h, w = conv2d_output_hw(shape[1], shape[2], k, k, stride, pad)
             if h < 2 or w < 2:
                 raise ModelSpecError(f"feature map collapsed to {h}x{w} before pooling")
@@ -141,11 +144,8 @@ class Model:
         tape = T.Tape()
         logits = self.forward(x, tape)
         loss = T.softmax_cross_entropy(logits, y, tape)
-        tape.backward(loss)
-        grads = {
-            e.name: np.zeros(e.tensor.shape) if e.tensor.grad is None else e.tensor.grad
-            for e in self.registry
-        }
+        leaf_grads = tape.backward(loss)
+        grads = {e.name: leaf_grads[e.tensor] for e in self.registry}
         return float(loss.data), grads, logits.data
 
     def predict(self, x):

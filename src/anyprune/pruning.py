@@ -37,7 +37,7 @@ class SparsityMask:
 
     def __init__(self, arrays):
         for name, a in arrays.items():
-            if not np.all((a == 0.0) | (a == 1.0)):
+            if a.dtype != bool and not np.all((a == 0.0) | (a == 1.0)):
                 raise ParameterError(f"mask {name!r} has entries outside {{0, 1}}")
         self.arrays = {name: np.ascontiguousarray(a, dtype=bool) for name, a in arrays.items()}
         self.kept = {name: int(np.count_nonzero(a)) for name, a in self.arrays.items()}
@@ -121,20 +121,16 @@ def score_grasp(model, mask, x, y):
     ``SCORE_CHUNK``-row slices, so the memory they need does not grow with
     the scoring set.
     """
-    grads = _mean_grads(model, x, y)
-    params = [e.tensor for e in model.registry]
-    v = [
-        grads[e.name] * mask.arrays[e.name] if e.prunable else grads[e.name]
-        for e in model.registry
-    ]
-    hv = T.hvp_fd(lambda: list(_mean_grads(model, x, y).values()), params, v)
+    v = _mean_grads(model, x, y)
+    for name, m in mask.arrays.items():  # fresh buffers, so each is masked in place
+        v[name] *= m
+    hv = T.hvp_fd(lambda: _mean_grads(model, x, y), model.params(), v)
     scores = {}
-    for e, h in zip(model.registry, hv):
-        if e.prunable:
-            s = -(e.tensor.data * h)
-            if not np.all(np.isfinite(s)):
-                raise NumericError(f"non-finite GraSP scores for {e.name!r}")
-            scores[e.name] = s
+    for e in model.registry.prunable():
+        s = -(e.tensor.data * hv[e.name])
+        if not np.all(np.isfinite(s)):
+            raise NumericError(f"non-finite GraSP scores for {e.name!r}")
+        scores[e.name] = s
     return scores
 
 

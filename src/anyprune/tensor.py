@@ -2,11 +2,11 @@
 
 Forward operations are free functions; pass a :class:`Tape` to record them.
 ``tape.backward(loss)`` then rolls vector-Jacobian products in reverse order of
-recording, accumulating into each leaf tensor's ``grad`` buffer. A tape runs
-backward once and frees each node as its VJP finishes; a conv2d keeps its one
-im2col matrix on the tape only until its VJP has formed gw. Everything runs in
-64-bit floats with explicit shape checks and no implicit broadcasting except
-bias addition.
+recording and returns the leaf tensors' gradients in a dict keyed by tensor.
+A tape runs backward once and frees each record as its VJP finishes; a conv2d
+keeps its one im2col matrix on the tape only until its VJP has formed gw.
+Everything runs in 64-bit floats with explicit shape checks and no implicit
+broadcasting except bias addition.
 
 ``bias_add`` and ``relu`` overwrite their input's data and return a tensor on
 the same buffer, so a dense or conv layer holds one activation array: pass them
@@ -26,20 +26,19 @@ from .rng import rng_from
 
 
 class Tensor:
-    """A contiguous row-major float64 array plus an optional gradient buffer.
+    """A contiguous row-major float64 array; it holds no gradient.
 
     With ``requires_grad=False`` (model input data), matmul and conv2d skip the
-    vector-Jacobian product into this tensor, and its ``grad`` stays None.
+    vector-Jacobian product into this tensor, and it gets no gradient.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad=True):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)  # ascontiguousarray would promote 0-d to 1-d
         self.data = arr
-        self.grad = None
         self.requires_grad = requires_grad
 
     @property
@@ -66,61 +65,49 @@ def tensor_randn(shape, seed, scale):
     return Tensor(g.standard_normal(dims) * float(scale))
 
 
-class _Node:
-    __slots__ = ("name", "inputs", "output", "bwd")
-
-    def __init__(self, name, inputs, output, bwd):
-        self.name = name
-        self.inputs = inputs
-        self.output = output
-        self.bwd = bwd
-
-
 class Tape:
     """Ordered record of primitive operations from one forward pass.
 
-    A tape runs backward once: each node is dropped as soon as its VJP has
-    run, so the memory its closure holds is freed on the way.
+    Each record is an ``(inputs, output, vjp)`` tuple. A tape runs backward
+    once: each record is dropped as soon as its VJP has run, so the memory its
+    closure holds is freed on the way.
     """
 
     def __init__(self):
-        self._nodes = []
+        self._records = []
         self._consumed = False
 
     def __len__(self):
-        return len(self._nodes)
+        return len(self._records)
 
     def record(self, name, inputs, output, bwd):
-        self._nodes.append(_Node(name, inputs, output, bwd))
+        """Append one op; ``name`` labels it for tracers and is not stored."""
+        self._records.append((inputs, output, bwd))
 
     def backward(self, loss):
-        """Accumulate gradients of a recorded scalar ``loss`` into ``.grad``.
+        """Gradients of a recorded scalar ``loss``, in a dict keyed by leaf tensor.
 
-        Leaves (tensors no node produced, such as parameters and inputs) keep
-        their ``.grad``; every node output's ``.grad`` is cleared once its VJP
-        has consumed it, and the tape is left empty.
+        Leaves are tensors no record produced, such as parameters and inputs;
+        the keys compare by identity, and a leaf that got no gradient is left
+        out. The tape is left empty.
         """
         if self._consumed:
             raise TapeError("tape was already consumed by an earlier backward")
         if loss.data.shape != ():
             raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
-        if not any(node.output is loss for node in self._nodes):
+        if not any(output is loss for _, output, _ in self._records):
             raise TapeError("loss is not an output recorded on this tape")
-        for node in self._nodes:
-            node.output.grad = None
-            for t in node.inputs:
-                t.grad = None
         self._consumed = True
-        loss.grad = np.asarray(1.0)
-        while self._nodes:
-            node = self._nodes.pop()
-            g, node.output.grad = node.output.grad, None
+        grads = {loss: np.asarray(1.0)}
+        while self._records:
+            inputs, output, bwd = self._records.pop()
+            g = grads.pop(output, None)
             if g is None:
                 continue
-            for t, gi in zip(node.inputs, node.bwd(g)):
-                if gi is None:
-                    continue
-                t.grad = gi if t.grad is None else t.grad + gi
+            for t, gi in zip(inputs, bwd(g)):
+                if gi is not None:
+                    grads[t] = grads[t] + gi if t in grads else gi
+        return grads
 
 
 # ---------------------------------------------------------------------------
@@ -286,39 +273,39 @@ def softmax_cross_entropy(logits, labels, tape=None):
 def hvp_fd(grad_fn, params, v, eps=None):
     """Approximate H @ v by central finite differences of the loss gradient.
 
-    ``grad_fn()`` must return the loss gradients at the *current* data of
-    ``params`` as a list of arrays aligned with ``params``; ``v`` is a
-    same-shaped list of arrays. The parameter perturbations are undone
-    bit-exactly before returning, also when ``grad_fn`` raises.
+    ``params`` maps names to tensors; ``v``, ``grad_fn()`` and the result map
+    the same names to same-shaped arrays: the directions, the loss gradients at
+    the *current* data of ``params``, and H @ v. The parameter perturbations
+    are undone bit-exactly before returning, also when ``grad_fn`` raises.
     """
-    if len(params) != len(v):
-        raise ShapeError("params and v must align")
-    for p, d in zip(params, v):
-        if p.shape != np.shape(d):
-            raise ShapeError(f"direction shape {np.shape(d)} != param shape {p.shape}")
+    if params.keys() != v.keys():
+        raise ShapeError(f"params {list(params)} and v {list(v)} name different tensors")
+    for name, d in v.items():
+        if params[name].shape != np.shape(d):
+            raise ShapeError(f"{name!r}: direction {np.shape(d)} != param {params[name].shape}")
     if eps is None:
-        peak = max((float(np.abs(p.data).max()) for p in params if p.size), default=0.0)
+        peak = max((float(np.abs(p.data).max()) for p in params.values() if p.size), default=0.0)
         eps = 1e-4 * (1.0 + peak)
     eps = float(eps)
     if eps <= 0.0:
         raise ShapeError(f"eps must be positive, got {eps}")
 
-    saved = [p.data.copy() for p in params]
+    saved = {name: p.data for name, p in params.items()}  # p.data is rebound, never written
 
     def grads_at(sign):
-        for p, base, d in zip(params, saved, v):
-            p.data = base + sign * eps * np.asarray(d)
+        for name, p in params.items():
+            p.data = saved[name] + sign * eps * np.asarray(v[name])
         return grad_fn()
 
     try:
         g_plus = grads_at(+1.0)
         g_minus = grads_at(-1.0)
     finally:
-        for p, base in zip(params, saved):
-            p.data = base
+        for name, p in params.items():
+            p.data = saved[name]
     with np.errstate(invalid="ignore", over="ignore"):  # finiteness checked below
-        hv = [(gp - gm) / (2.0 * eps) for gp, gm in zip(g_plus, g_minus)]
-    for h in hv:
+        hv = {name: (g_plus[name] - g_minus[name]) / (2.0 * eps) for name in params}
+    for name, h in hv.items():
         if not np.all(np.isfinite(h)):
-            raise NumericError("non-finite gradients in hvp_fd")
+            raise NumericError(f"non-finite gradients in hvp_fd for {name!r}")
     return hv

@@ -78,10 +78,10 @@ def test_criterion_2_hvp_oracle():
         diag = np.array([2.0, 4.0])
 
         def quad_grad():  # gradient of 0.5 * w' diag(d) w
-            return [diag * w.data]
+            return {"w": diag * w.data}
 
         for v, want in ((np.array([1.0, 0.0]), [2.0, 0.0]), (np.array([0.0, 1.0]), [0.0, 4.0])):
-            hv = hvp_fd(quad_grad, [w], [v])[0]
+            hv = hvp_fd(quad_grad, {"w": w}, {"w": v})["w"]
             denom = max(1e-12, float(np.linalg.norm(want)))
             assert np.linalg.norm(hv - want) / denom < 1e-6
 
@@ -89,14 +89,14 @@ def test_criterion_2_hvp_oracle():
         model = build_model(ModelSpec((6,), 3, hidden=(9,)), seed=6)
         x = rng.standard_normal((12, 6))
         y = rng.integers(0, 3, 12)
-        params = [e.tensor for e in model.registry]
-        v = [rng.standard_normal(p.shape) for p in params]
+        params = model.params()
+        v = {name: rng.standard_normal(p.shape) for name, p in params.items()}
 
         def grad_fn():
-            return list(model.loss_and_grads(x, y)[1].values())
+            return model.loss_and_grads(x, y)[1]
 
-        a = np.concatenate([h.ravel() for h in hvp_fd(grad_fn, params, v, eps=1e-4)])
-        b = np.concatenate([h.ravel() for h in hvp_fd(grad_fn, params, v, eps=1e-5)])
+        a = np.concatenate([h.ravel() for h in hvp_fd(grad_fn, params, v, eps=1e-4).values()])
+        b = np.concatenate([h.ravel() for h in hvp_fd(grad_fn, params, v, eps=1e-5).values()])
         rel = np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b))
         assert rel < 1e-3, f"eps consistency {rel}"
 

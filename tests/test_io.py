@@ -587,16 +587,21 @@ class TestCli:
         assert err.startswith("config error: tau:")
         assert "Traceback" not in err
 
-    def test_convnet_on_flat_input_exits_2_naming_the_shape(self, tmp_path, capsys):
-        # synthetic blobs are flat 16-feature vectors; only ModelSpec rejects them
+    def test_convnet_on_flat_input_exits_1_naming_the_model(self, tmp_path, capsys, monkeypatch):
+        # synthetic blobs and CSV rows are flat feature vectors: the config is
+        # rejected before any data is generated, and ModelSpec rejects the shape
         with pytest.raises(ModelSpecError, match=r"input shape, got \(16,\)"):
-            run(parse_config(CONVNET))
+            ModelSpec((16,), 3, conv_stack=((8, 3, 1, 1),))
+        for text in (CONVNET, CSV + "model = convnet\n"):
+            with pytest.raises(ConfigError, match=r"^model: convnet needs \(c, h, w\) images"):
+                parse_config(text)
+        monkeypatch.setattr(anyprune.harness, "dataset_for_config", None)
         cfg = tmp_path / "conv.cfg"
         cfg.write_text(CONVNET)
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
-        assert "input shape, got (16,)" in capsys.readouterr().err
+        assert "config error: model: convnet needs (c, h, w) images" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_csv_cell_exits_2_naming_the_line(self, tmp_path, capsys, cell):

@@ -151,8 +151,14 @@ def test_convnet_flatten_hands_fc0_channel_last_features(monkeypatch):
 
 
 def test_convnet_collapsed_feature_map_rejected():
-    with pytest.raises(ModelSpecError):
+    with pytest.raises(ModelSpecError, match=r"^feature map collapsed to 1x1 before pooling$"):
         ModelSpec((1, 4, 4), 3, conv_stack=((4, 3, 1, 1), (4, 3, 1, 1), (4, 3, 1, 1)))
+
+
+def test_convnet_kernel_larger_than_its_padded_map_names_the_layer():
+    # conv0 keeps 6x6 and the pool halves it, so conv1 sees an unpadded 3x3 map
+    with pytest.raises(ModelSpecError, match=r"^conv1: kernel 5x5 exceeds its padded 3x3 map$"):
+        ModelSpec((1, 6, 6), 3, conv_stack=((4, 3, 1, 1), (4, 5, 1, 0)))
 
 
 def test_predict_tie_breaks_to_smaller_class():

@@ -154,7 +154,8 @@ def config_texts(draw):
     }
     for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
         pairs[key] = draw(optional[key])
-    pairs["model"] = draw(st.sampled_from(MODELS))
+    # only IDX images have the (c, h, w) shape a convnet needs
+    pairs["model"] = draw(st.sampled_from(MODELS if dataset == "idx" else ("mlp",)))
     if pairs["model"] == "mlp":
         pairs["mlp_hidden"] = _ints(draw(_WIDTHS))
     else:

@@ -135,6 +135,9 @@ class _QuadraticModel:
         self.registry.add("w", Tensor(w), True)
         self._diag = np.asarray(diag, dtype=np.float64)
 
+    def params(self):
+        return {"w": self.registry["w"].tensor}
+
     def loss_and_grads(self, x, y):
         w = self.registry["w"].tensor.data
         return 0.5 * float(np.sum(self._diag * w * w)), {"w": self._diag * w}, None
@@ -470,6 +473,17 @@ class TestSparsityMask:
         for bad in (0.5, np.nan):
             with pytest.raises(ParameterError, match="'w' has entries outside"):
                 SparsityMask({"w": np.array([1.0, bad])})
+
+    def test_bool_input_is_kept_without_a_temporary(self):
+        a = np.random.default_rng(8).random(1_000_000) < 0.5
+        tracemalloc.start()
+        try:
+            mask = SparsityMask({"w": a})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.arrays["w"] is a and mask.kept == {"w": int(a.sum())}
+        assert peak < a.size // 4, peak
 
 
 class TestApplyMaskAndLayerStats:

@@ -1,6 +1,7 @@
 """Tensor-core oracles: hand arithmetic, finite differences, and analytic HVPs."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -100,8 +101,8 @@ class TestSoftmaxCrossEntropy:
         tape = Tape()
         # rebuild on-tape so the logits tensor records the op
         taped = softmax_cross_entropy(logits, y, tape)
-        tape.backward(taped)
-        np.testing.assert_allclose(logits.grad.sum(axis=1), np.zeros(5), atol=1e-12)
+        grads = tape.backward(taped)
+        np.testing.assert_allclose(grads[logits].sum(axis=1), np.zeros(5), atol=1e-12)
 
 
 class TestBackward:
@@ -110,8 +111,7 @@ class TestBackward:
         w = Tensor([[1.0, 2.0], [3.0, 4.0]])
         tape = Tape()
         loss = sum_all(matmul(w, w, tape), tape)
-        tape.backward(loss)
-        np.testing.assert_array_equal(w.grad, [[7.0, 11.0], [9.0, 13.0]])
+        np.testing.assert_array_equal(tape.backward(loss)[w], [[7.0, 11.0], [9.0, 13.0]])
 
     def test_loss_not_on_tape(self):
         tape = Tape()
@@ -134,22 +134,37 @@ class TestBackward:
         h = matmul(x, w, tape)  # [[-3, -3], [11, 1]]
         r = relu(h, tape)
         loss = sum_all(r, tape)
-        tape.backward(loss)
+        grads = tape.backward(loss)
         assert len(tape) == 0
-        assert h.grad is None and r.grad is None and loss.grad is None
+        assert sorted(map(id, grads)) == sorted(map(id, (x, w)))
         active = (h.data > 0.0).astype(np.float64)
-        np.testing.assert_array_equal(w.grad, x.data.T @ active)
-        np.testing.assert_array_equal(x.grad, active @ w.data.T)
+        np.testing.assert_array_equal(grads[w], x.data.T @ active)
+        np.testing.assert_array_equal(grads[x], active @ w.data.T)
 
     def test_second_backward_raises(self):
         w = Tensor([1.0, 2.0])
         tape = Tape()
         loss = sum_all(relu(w, tape), tape)
-        tape.backward(loss)
-        grad = w.grad.copy()
+        grads = tape.backward(loss)
+        grad = grads[w].copy()
         with pytest.raises(TapeError, match="already consumed"):
             tape.backward(loss)
-        np.testing.assert_array_equal(w.grad, grad)
+        np.testing.assert_array_equal(grads[w], grad)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec((5,), 3, hidden=(4,)), ModelSpec((1, 6, 6), 3, conv_stack=((2, 3, 1, 1),))],
+        ids=["mlp", "convnet"],
+    )
+    def test_dropped_grads_die_and_no_tensor_holds_a_grad(self, spec):
+        rng = np.random.default_rng(14)
+        model = build_model(spec, seed=3)
+        x = rng.standard_normal((6, *spec.input_shape))
+        grads = model.loss_and_grads(x, rng.integers(0, 3, 6))[1]
+        refs = {name: weakref.ref(g) for name, g in grads.items()}
+        del grads
+        assert [name for name, r in refs.items() if r() is not None] == []
+        assert not any(hasattr(e.tensor, "grad") for e in model.registry)
 
     def test_gradients_match_finite_differences(self):
         # spot-check a couple of seeds here; the acceptance suite runs twenty
@@ -199,9 +214,9 @@ class TestInputGradientSkip:
             x = Tensor(x_data, requires_grad=requires_grad)
             w = Tensor(w_data)
             tape = Tape()
-            tape.backward(sum_all(op(x, w, tape), tape))
-            assert (x.grad is not None) == requires_grad
-            grads[requires_grad] = w.grad
+            leaf_grads = tape.backward(sum_all(op(x, w, tape), tape))
+            assert (x in leaf_grads) == requires_grad
+            grads[requires_grad] = leaf_grads[w]
         assert np.array_equal(grads[False], grads[True])
 
 
@@ -212,8 +227,7 @@ class TestRelu:
         out = relu(x, tape)
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
         loss = sum_all(out, tape)
-        tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(tape.backward(loss)[x], [0.0, 0.0, 1.0])
 
     def test_mask_keeps_the_bits_of_g_times_positive_input(self):
         # pre-activations hold -0.0 and NaN; g is negative where relu is off,
@@ -229,8 +243,8 @@ class TestRelu:
             out = relu(x, tape)
             loss = Tensor(np.asarray(0.0))
             tape.record("inject", (out,), loss, lambda _: (g.copy(),))
-            tape.backward(loss)
-        assert np.array_equal(x.grad.view(np.uint64), expected.view(np.uint64))
+            grads = tape.backward(loss)
+        assert np.array_equal(grads[x].view(np.uint64), expected.view(np.uint64))
 
 
 class TestInPlaceActivations:
@@ -257,22 +271,27 @@ class TestInPlaceActivations:
 def _quadratic_grad(w, diag):
     """Gradient of 0.5 * w' diag(d) w at the current data of ``w``: diag(d) w."""
     d = np.asarray(diag, dtype=np.float64)
-    return lambda: [d * w.data]
+    return lambda: {"w": d * w.data}
 
 
 class TestHvp:
     def test_quadratic_basis_vectors(self):
         w = Tensor([1.0, 1.0])
         grad_fn = _quadratic_grad(w, [2.0, 4.0])
-        hv = hvp_fd(grad_fn, [w], [np.array([1.0, 0.0])])
-        np.testing.assert_allclose(hv[0], [2.0, 0.0], rtol=1e-6, atol=1e-9)
-        hv = hvp_fd(grad_fn, [w], [np.array([0.0, 1.0])])
-        np.testing.assert_allclose(hv[0], [0.0, 4.0], rtol=1e-6, atol=1e-9)
+        hv = hvp_fd(grad_fn, {"w": w}, {"w": np.array([1.0, 0.0])})
+        np.testing.assert_allclose(hv["w"], [2.0, 0.0], rtol=1e-6, atol=1e-9)
+        hv = hvp_fd(grad_fn, {"w": w}, {"w": np.array([0.0, 1.0])})
+        np.testing.assert_allclose(hv["w"], [0.0, 4.0], rtol=1e-6, atol=1e-9)
+
+    def test_params_and_v_naming_different_tensors_raise(self):
+        w = Tensor([1.0, 1.0])
+        with pytest.raises(ShapeError, match="name different tensors"):
+            hvp_fd(_quadratic_grad(w, [2.0, 4.0]), {"w": w}, {"u": np.array([1.0, 0.0])})
 
     def test_restores_params_bitexactly(self):
         w = Tensor([0.1, -0.7])
         before = w.data.copy()
-        hvp_fd(_quadratic_grad(w, [2.0, 4.0]), [w], [np.array([0.3, 0.9])])
+        hvp_fd(_quadratic_grad(w, [2.0, 4.0]), {"w": w}, {"w": np.array([0.3, 0.9])})
         assert w.data.tobytes() == before.tobytes()
 
     def test_restores_params_when_grad_fn_raises(self):
@@ -284,10 +303,10 @@ class TestHvp:
             seen.append(w.data.copy())
             if len(seen) == 2:
                 raise NumericError("second gradient failed")
-            return [2.0 * w.data]
+            return {"w": 2.0 * w.data}
 
         with pytest.raises(NumericError, match="second gradient failed"):
-            hvp_fd(grad_fn, [w], [np.array([0.3, 0.9])])
+            hvp_fd(grad_fn, {"w": w}, {"w": np.array([0.3, 0.9])})
         assert len(seen) == 2 and not np.array_equal(seen[1], before)
         assert w.data.tobytes() == before.tobytes()
 
@@ -296,14 +315,14 @@ class TestHvp:
         model = build_model(ModelSpec((6,), 3, hidden=(8,)), seed=4)
         x = rng.standard_normal((10, 6))
         y = rng.integers(0, 3, 10)
-        params = [e.tensor for e in model.registry]
-        v = [rng.standard_normal(p.shape) for p in params]
+        params = model.params()
+        v = {name: rng.standard_normal(p.shape) for name, p in params.items()}
 
         def grad_fn():
-            return list(model.loss_and_grads(x, y)[1].values())
+            return model.loss_and_grads(x, y)[1]
 
-        hv_a = np.concatenate([h.ravel() for h in hvp_fd(grad_fn, params, v, eps=1e-4)])
-        hv_b = np.concatenate([h.ravel() for h in hvp_fd(grad_fn, params, v, eps=1e-5)])
+        hv_a = np.concatenate([h.ravel() for h in hvp_fd(grad_fn, params, v, eps=1e-4).values()])
+        hv_b = np.concatenate([h.ravel() for h in hvp_fd(grad_fn, params, v, eps=1e-5).values()])
         rel = np.linalg.norm(hv_a - hv_b) / max(np.linalg.norm(hv_a), np.linalg.norm(hv_b))
         assert rel < 1e-3
 
@@ -311,7 +330,7 @@ class TestHvp:
         w = Tensor([1e308])  # the gradient 2w of w**2 overflows
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
-                hvp_fd(_quadratic_grad(w, [2.0]), [w], [np.array([1.0])], eps=1.0)
+                hvp_fd(_quadratic_grad(w, [2.0]), {"w": w}, {"w": np.array([1.0])}, eps=1.0)
 
 
 class TestSgdMomentumStep:
