@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .config import config_hash, run_id
 from .datasets import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, split_test
-from .errors import DataError, FormatError, NumericError
+from .errors import AnypruneError, DataError, FormatError, NumericError
 from .metrics import error_count, generalization_gap
-from .models import CHUNK, ModelSpec, build_model
+from .models import ModelSpec, build_model
 from .optim import OptimState, sgd_momentum_step
 from .pruning import (
     SparsityMask,
@@ -121,23 +120,13 @@ def lr_at(config, t, epoch):
 
 def evaluate(model, x, y):
     """Exact counts plus mean loss on a labelled set, deterministically."""
-    n = x.shape[0]
-    correct = 0
-    loss_sum = 0.0
-    for start in range(0, n, CHUNK):
-        xb, yb = x[start : start + CHUNK], y[start : start + CHUNK]
-        logits = model.forward(xb)
-        loss = T.softmax_cross_entropy(logits, yb)
-        correct += int((np.argmax(logits.data, axis=1) == yb).sum())
-        loss_sum += float(loss.data) * xb.shape[0]
-    return correct, n, loss_sum / n
+    preds, loss_sum = model.sliced_forward(x, y)
+    return int((preds == y).sum()), x.shape[0], loss_sum / x.shape[0]
 
 
-def _check_loss(kind, loss, t, epoch, global_iter):
+def _check_loss(kind, loss, epoch, global_iter):
     if not math.isfinite(loss):
-        raise NumericError(
-            f"{kind} loss is {loss} at megabatch {t}, epoch {epoch}, global_iter {global_iter}"
-        )
+        raise NumericError(f"{kind} loss is {loss} at epoch {epoch}, global_iter {global_iter}")
 
 
 def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global_iter=0, observer=None):
@@ -166,7 +155,7 @@ def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global
             with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
                 step_loss, grads, logits = model.loss_and_grads(xb, yb)
             global_iter += 1
-            _check_loss("training", step_loss, t, epoch, global_iter)
+            _check_loss("training", step_loss, epoch, global_iter)
             sgd_momentum_step(params, grads, optim, mask)
             correct += int((np.argmax(logits, axis=1) == yb).sum())
             loss_sum += step_loss * yb.size
@@ -176,7 +165,7 @@ def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global
             val_correct, val_total, val_loss = evaluate(
                 model, dataset.x[view.val_idx], dataset.y[view.val_idx]
             )
-        _check_loss("validation", val_loss, t, epoch, global_iter)
+        _check_loss("validation", val_loss, epoch, global_iter)
         rec = EpochRecord(
             megabatch=t, epoch=epoch, lr=optim.lr, global_iter=global_iter,
             train_correct=correct, train_total=int(order.size), train_loss=loss_sum / order.size,
@@ -237,7 +226,7 @@ def _prune_step(config, dataset, stream, view, model, mask, t, delta):
         pi_size = int(pi_idx.size)
         if pi_size == 0:
             raise DataError(
-                f"megabatch {t}: pi_fraction = {config.pi_fraction} of the view's "
+                f"pi_fraction = {config.pi_fraction} of the view's "
                 f"{source.train_idx.size} training samples is an empty scoring set"
             )
         x, y = dataset.x[pi_idx], dataset.y[pi_idx]
@@ -251,6 +240,17 @@ def _prune_step(config, dataset, stream, view, model, mask, t, delta):
     return new_mask, detail
 
 
+def _warn_collapse(t, mask):
+    """Log the prunable tensors ``mask`` leaves empty, and the classes it cuts off."""
+    collapsed = [f"{name} keeps no weight" for name, kept in mask.kept.items() if kept == 0]
+    head = list(mask.arrays)[-1]  # the class layer, fc{last}_w, comes last
+    classes = np.flatnonzero(~mask.arrays[head].any(axis=0)).tolist()
+    if classes:
+        collapsed.append(f"classes {classes} keep no weight in {head}")
+    if collapsed:
+        logger.warning("megabatch %d: layer collapse: %s", t, "; ".join(collapsed))
+
+
 def run(config, observer=None):
     """Execute one configured run over the whole stream; returns the MetricsLog.
 
@@ -260,6 +260,8 @@ def run(config, observer=None):
     before the new mask reaches the weights, and ``on_megabatch_end(t, model,
     mask)`` once the best checkpoint is restored and evaluated. ``mask`` is
     always a SparsityMask; the baseline's keeps every weight and never prunes.
+    A package error raised inside megabatch ``t`` is raised again as its own
+    class, prefixed ``megabatch t, <phase>:`` (train, prune or eval).
     """
     started = time.perf_counter()
     dataset = dataset_for_config(config)
@@ -296,58 +298,66 @@ def run(config, observer=None):
     global_iter = 0
 
     for t in range(1, config.megabatches + 1):
-        if observer is not None and hasattr(observer, "on_megabatch_start"):
-            observer.on_megabatch_start(t, model, mask)
-        view = replay_view(stream, t, config.replay)
-        optim = OptimState(model.params(), config.lr0, config.momentum, config.weight_decay)
-        events = []  # (kind, detail), numbered in order below
-        snap, best_rec, records, global_iter = train_megabatch(
-            model, mask, dataset, view, config, t, epochs=range(1, at + 1),
-            optim=optim, global_iter=global_iter, observer=observer,
-        )
-        log.epochs.extend(records)
-        if records:
-            events.append(("train", {"first_epoch": 1, "last_epoch": at}))
-        if t <= len(deltas):
-            if config.variant == "app_final":
-                model.restore(snap)
-            new_mask, detail = _prune_step(
-                config, dataset, stream, view, model, mask, t, deltas[t - 1]
+        phase = "train"
+        try:
+            if observer is not None and hasattr(observer, "on_megabatch_start"):
+                observer.on_megabatch_start(t, model, mask)
+            view = replay_view(stream, t, config.replay)
+            optim = OptimState(model.params(), config.lr0, config.momentum, config.weight_decay)
+            events = []  # (kind, detail), numbered in order below
+            snap, best_rec, records, global_iter = train_megabatch(
+                model, mask, dataset, view, config, t, epochs=range(1, at + 1),
+                optim=optim, global_iter=global_iter, observer=observer,
             )
-            if observer is not None and hasattr(observer, "on_prune"):
-                observer.on_prune(t, mask, new_mask)
-            mask = new_mask
-            apply_mask(model, mask)
-            for name, m in mask.arrays.items():
-                optim.velocity[name] *= m
-            events.append(("prune", detail))
-        snap, rec, records, global_iter = train_megabatch(
-            model, mask, dataset, view, config, t, epochs=range(at + 1, config.epochs + 1),
-            optim=optim, global_iter=global_iter, observer=observer,
-        )
-        log.epochs.extend(records)
-        # with no epochs after the prune, the pruned weights and the earlier
-        # span's best record stand
-        if records:
-            events.append(("train", {"first_epoch": at + 1, "last_epoch": config.epochs}))
-            best_rec = rec
-            model.restore(snap)
+            log.epochs.extend(records)
+            if records:
+                events.append(("train", {"first_epoch": 1, "last_epoch": at}))
+            if t <= len(deltas):
+                phase = "prune"
+                if config.variant == "app_final":
+                    model.restore(snap)
+                new_mask, detail = _prune_step(
+                    config, dataset, stream, view, model, mask, t, deltas[t - 1]
+                )
+                if observer is not None and hasattr(observer, "on_prune"):
+                    observer.on_prune(t, mask, new_mask)
+                mask = new_mask
+                apply_mask(model, mask)
+                for name, m in mask.arrays.items():
+                    optim.velocity[name] *= m
+                _warn_collapse(t, mask)
+                events.append(("prune", detail))
+            phase = "train"
+            snap, rec, records, global_iter = train_megabatch(
+                model, mask, dataset, view, config, t, epochs=range(at + 1, config.epochs + 1),
+                optim=optim, global_iter=global_iter, observer=observer,
+            )
+            log.epochs.extend(records)
+            # with no epochs after the prune, the pruned weights and the earlier
+            # span's best record stand
+            if records:
+                events.append(("train", {"first_epoch": at + 1, "last_epoch": config.epochs}))
+                best_rec = rec
+                model.restore(snap)
 
-        preds = model.predict(dataset.x_test)
-        errors = error_count(preds, dataset.y_test)
-        gap = generalization_gap(best_rec.train_acc, best_rec.val_acc)
-        log.megabatches.append(MegabatchRecord(
-            megabatch=t, best_epoch=best_rec.epoch, test_errors=errors,
-            test_total=int(dataset.y_test.size), gen_gap_pp=gap, kept_count=mask.kept_count,
-            layer_pruned=layer_pruned_fraction(mask), predictions=preds,
-        ))
-        events.append(("eval", {"test_errors": errors}))
-        log.events.extend(
-            RunEvent(megabatch=t, seq=seq, kind=kind, detail=detail)
-            for seq, (kind, detail) in enumerate(events)
-        )
-        if observer is not None and hasattr(observer, "on_megabatch_end"):
-            observer.on_megabatch_end(t, model, mask)
+            phase = "eval"
+            preds = model.predict(dataset.x_test)
+            errors = error_count(preds, dataset.y_test)
+            gap = generalization_gap(best_rec.train_acc, best_rec.val_acc)
+            log.megabatches.append(MegabatchRecord(
+                megabatch=t, best_epoch=best_rec.epoch, test_errors=errors,
+                test_total=int(dataset.y_test.size), gen_gap_pp=gap, kept_count=mask.kept_count,
+                layer_pruned=layer_pruned_fraction(mask), predictions=preds,
+            ))
+            events.append(("eval", {"test_errors": errors}))
+            log.events.extend(
+                RunEvent(megabatch=t, seq=seq, kind=kind, detail=detail)
+                for seq, (kind, detail) in enumerate(events)
+            )
+            if observer is not None and hasattr(observer, "on_megabatch_end"):
+                observer.on_megabatch_end(t, model, mask)
+        except AnypruneError as exc:
+            raise type(exc)(f"megabatch {t}, {phase}: {exc}") from exc
 
     log.wall_clock_seconds = time.perf_counter() - started
     return log

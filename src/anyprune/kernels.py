@@ -23,6 +23,10 @@ takes OpenBLAS's small-matrix path: the input gradient of a conv with 1 or 3
 input channels on 7x7 maps, and the forward on maps of 3x3 or smaller with
 few output channels. gw stays one product: its sum runs over every row.
 
+Outside training, a model forwards a convnet's rows at most one block at a
+time (``Model.row_slices``), so that scoring and evaluation never hold a
+larger batch's patch matrices.
+
 Dense (matmul) layers do not live here: BLAS already is the fast path for them.
 """
 
@@ -43,8 +47,9 @@ def _pad(x, padding):
 
 
 # images per block of im2col copies and of conv products: a block of the patch
-# matrix stays in cache while its kh·kw taps are written
-_IM2COL_IMAGES = 32
+# matrix stays in cache while its kh·kw taps are written. It is also the most
+# images a convnet forwards at once outside training
+BLOCK_IMAGES = 32
 
 
 def im2col(x, kh, kw, stride, padding):
@@ -59,8 +64,8 @@ def im2col(x, kh, kw, stride, padding):
     cols = np.empty((b, ho, wo, c, kh, kw))
     # one strided copy per tap and block; the copy of a whole strided
     # [B, Ho, Wo, C, kh, kw] view runs its inner loop over kw taps only
-    for start in range(0, b, _IM2COL_IMAGES):
-        block = slice(start, start + _IM2COL_IMAGES)
+    for start in range(0, b, BLOCK_IMAGES):
+        block = slice(start, start + BLOCK_IMAGES)
         for u in range(kh):
             for v in range(kw):
                 cols[block, :, :, :, u, v] = (
@@ -72,13 +77,13 @@ def im2col(x, kh, kw, stride, padding):
 def _matmul_image_blocks(a, b, ho, wo):
     """``a @ b`` for ``a`` with Ho·Wo rows per image, into one output.
 
-    A batch of up to ``_IM2COL_IMAGES`` images is one product. In a larger one
-    every product has exactly ``_IM2COL_IMAGES`` images: the last ends at the
+    A batch of up to ``BLOCK_IMAGES`` images is one product. In a larger one
+    every product has exactly ``BLOCK_IMAGES`` images: the last ends at the
     batch's end and recomputes rows of its predecessor, since a short tail
     product can take OpenBLAS's small-matrix path and change the last bit.
     """
     out = np.empty((a.shape[0], b.shape[1]))
-    rows = _IM2COL_IMAGES * ho * wo
+    rows = BLOCK_IMAGES * ho * wo
     for start in range(0, a.shape[0], rows):
         start = max(0, min(start, a.shape[0] - rows))
         np.matmul(a[start : start + rows], b, out=out[start : start + rows])

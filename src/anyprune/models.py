@@ -13,9 +13,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ModelSpecError, ShapeError
-from .kernels import conv2d_output_hw
+from .kernels import BLOCK_IMAGES, conv2d_output_hw
 
-# rows per forward call when predicting or evaluating a whole set
+# rows per forward call when predicting or evaluating a whole set (see Model.row_slices)
 CHUNK = 2048
 
 
@@ -148,14 +148,24 @@ class Model:
         grads = {e.name: leaf_grads[e.tensor] for e in self.registry}
         return float(loss.data), grads, logits.data
 
+    def row_slices(self, n, rows):
+        """Slices over ``n`` rows, ``rows`` at a time; a convnet takes at most one kernel block."""
+        step = min(rows, BLOCK_IMAGES) if self.spec.conv_stack else rows
+        return [slice(start, start + step) for start in range(0, n, step)]
+
+    def sliced_forward(self, x, y=None):
+        """Argmax classes of ``x``, plus the summed cross-entropy against ``y`` (0.0 without)."""
+        preds, loss_sum = np.empty(x.shape[0], dtype=np.int64), 0.0
+        for rows in self.row_slices(x.shape[0], CHUNK):
+            logits = self.forward(x[rows])
+            preds[rows] = np.argmax(logits.data, axis=1)
+            if y is not None:
+                loss_sum += float(T.softmax_cross_entropy(logits, y[rows]).data) * logits.shape[0]
+        return preds, loss_sum
+
     def predict(self, x):
         """Argmax class indices; ties resolve to the smallest class index."""
-        x = np.asarray(x, dtype=np.float64)
-        preds = []
-        for start in range(0, x.shape[0], CHUNK):
-            logits = self.forward(x[start : start + CHUNK])
-            preds.append(np.argmax(logits.data, axis=1))
-        return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
+        return self.sliced_forward(np.asarray(x, dtype=np.float64))[0]
 
     def snapshot(self):
         return {e.name: e.tensor.data.copy() for e in self.registry}

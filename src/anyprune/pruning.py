@@ -11,8 +11,9 @@ positions and holds one float64 buffer: an in-place partition finds the
 threshold score, every position above it is kept, and the positions tied at it
 fill the remaining slots in flat-index order.
 
-SNIP and GraSP take the mean loss gradient over the scoring set in slices of
-``SCORE_CHUNK`` rows. The scoring set grows with the replay view, and one
+SNIP and GraSP take the mean loss gradient over the scoring set in slices
+(``Model.row_slices``): ``SCORE_CHUNK`` rows for an MLP, one kernel block of
+images for a convnet. The scoring set grows with the replay view, and one
 taped call over all of it would hold every row's activations at once; in
 slices the scoring peak stays the same at any set size.
 """
@@ -76,19 +77,18 @@ def keep_count(delta, total):
 def _mean_grads(model, x, y):
     """Gradients of the mean loss over (x, y), as a name -> array mapping.
 
-    The set is taped one ``SCORE_CHUNK``-row slice at a time, and each
-    slice's mean gradients are weighted by its share of the rows and summed.
-    A set of at most ``SCORE_CHUNK`` rows is one slice of weight exactly 1.0,
-    so it keeps the bits of a single ``loss_and_grads`` call.
+    The set is taped one slice of ``model.row_slices(n, SCORE_CHUNK)`` at a
+    time, and each slice's mean gradients are weighted by its share of the
+    rows and summed. A set of at most one slice is one slice of weight
+    exactly 1.0, so it keeps the bits of a single ``loss_and_grads`` call.
     """
     n = x.shape[0]
     total = None
-    for start in range(0, n, SCORE_CHUNK):
-        stop = min(start + SCORE_CHUNK, n)
-        grads = model.loss_and_grads(x[start:stop], y[start:stop])[1]
+    for rows in model.row_slices(n, SCORE_CHUNK):
+        grads = model.loss_and_grads(x[rows], y[rows])[1]
         # the tape hands back fresh buffers, so they are scaled and summed in place
         for g in grads.values():
-            g *= (stop - start) / n
+            g *= y[rows].size / n
         if total is None:
             total = grads
         else:
@@ -100,8 +100,8 @@ def _mean_grads(model, x, y):
 def score_snip(model, x, y):
     """Connection sensitivity |grad * weight| of the mean loss over (x, y).
 
-    The gradient is taken in ``SCORE_CHUNK``-row slices, so the memory it
-    needs does not grow with the scoring set.
+    The gradient is taken in slices (see :func:`_mean_grads`), so the memory
+    it needs does not grow with the scoring set.
     """
     grads = _mean_grads(model, x, y)
     scores = {e.name: grads[e.name] for e in model.registry.prunable()}
@@ -117,9 +117,9 @@ def score_grasp(model, mask, x, y):
     must negate. The direction vector is the loss gradient restricted to the
     active mask support (pruned coordinates are frozen, so perturbing them
     would leak signal through dead connections). The gradient and both of
-    the Hessian-vector product's gradient calls are taken in
-    ``SCORE_CHUNK``-row slices, so the memory they need does not grow with
-    the scoring set.
+    the Hessian-vector product's gradient calls are taken in slices (see
+    :func:`_mean_grads`), so the memory they need does not grow with the
+    scoring set.
     """
     v = _mean_grads(model, x, y)
     for name, m in mask.arrays.items():  # fresh buffers, so each is masked in place

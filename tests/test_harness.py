@@ -1,6 +1,8 @@
 """Variant mechanics: event order, pi sizes, carryover, and mask trajectories."""
 
 import logging
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -171,10 +173,36 @@ class TestNoEpochsAfterPrune:
         ]
 
 
+class TestLayerCollapse:
+    """GraSP at tau = 8 prunes the class layer away on the shipped APP config."""
+
+    CONFIG = pathlib.Path(__file__).parents[1] / "configs" / "app_blobs.cfg"
+
+    def _warnings(self, caplog, overrides):
+        text = self.CONFIG.read_text()
+        for key, value in overrides.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        with caplog.at_level(logging.WARNING, logger="anyprune.harness"):
+            log = run(parse_config(text))
+        return log, [r.getMessage() for r in caplog.records]
+
+    def test_grasp_collapse_is_logged(self, caplog):
+        log, messages = self._warnings(caplog, {"pruner": "grasp", "tau": 8})
+        assert log.megabatches[-1].test_errors == 4 * len(log.test_labels) // 5  # chance
+        assert (
+            "megabatch 8: layer collapse: fc2_w keeps no weight; "
+            "classes [0, 1, 2, 3, 4] keep no weight in fc2_w"
+        ) in messages
+        assert all("fc2_w" in m for m in messages)
+
+    def test_snip_logs_no_collapse(self, caplog):
+        assert self._warnings(caplog, {})[1] == []
+
+
 class TestNonFiniteLoss:
     def test_validation_loss_is_checked(self, monkeypatch):
         monkeypatch.setattr(harness, "evaluate", lambda model, x, y: (0, y.size, float("nan")))
-        with pytest.raises(NumericError, match="validation loss is nan at megabatch 1, epoch 1,"):
+        with pytest.raises(NumericError, match="^megabatch 1, train: validation loss is nan at epoch 1,"):
             run(_cfg(variant="baseline"))
 
 

@@ -24,7 +24,7 @@ from anyprune.datasets import (
     load_idx,
     write_idx,
 )
-from anyprune.errors import ConfigError, DataError, FormatError, ModelSpecError
+from anyprune.errors import ConfigError, DataError, FormatError, ModelSpecError, NumericError
 from anyprune.harness import run
 from anyprune.metrics import summarize
 from anyprune.models import ModelSpec, build_model
@@ -628,7 +628,25 @@ class TestCli:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "megabatch 1: pi_fraction = 0.001 of the view's 112 training samples" in err
+        assert "megabatch 1, prune: pi_fraction = 0.001 of the view's 112 training samples" in err
+
+    def test_error_inside_a_megabatch_names_it_and_keeps_its_class(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def nan_score(mask, scores, keep):
+            raise NumericError("NaN score at a kept position of 'fc0_w'")
+
+        monkeypatch.setattr("anyprune.harness.prune_global", nan_score)
+        cfg = pathlib.Path(__file__).parents[1] / "configs" / "app_blobs.cfg"
+        with pytest.raises(NumericError, match="^megabatch 1, prune: NaN score") as info:
+            run(parse_config(cfg))
+        assert isinstance(info.value.__cause__, NumericError)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: megabatch 1, prune: NaN score at a kept position of 'fc0_w'"
+        ]
 
     @pytest.mark.parametrize("count, rows, cols", OVERSIZED_IDX_HEADERS)
     def test_oversized_idx_header_exits_2_and_writes_no_run(self, tmp_path, capsys, count, rows, cols):
@@ -753,7 +771,7 @@ class TestCli:
             assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "megabatch 1, epoch 3, global_iter 10" in err
+        assert "megabatch 1, train: training loss is nan at epoch 3, global_iter 10" in err
 
     def test_artifacts_identical_at_one_and_two_blas_threads(self, tmp_path):
         # matmuls large enough that OpenBLAS splits them when given two threads
@@ -808,8 +826,8 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-3:] == [
             "sweep: 1 of 2 configs finished",
-            f"failed  {cfg_dir / 'a_diverge.cfg'}: training loss is nan at megabatch 1, "
-            "epoch 3, global_iter 10",
+            f"failed  {cfg_dir / 'a_diverge.cfg'}: megabatch 1, train: training loss is nan "
+            "at epoch 3, global_iter 10",
             f"ok      {cfg_dir / 'b_small.cfg'} -> {out / 'b_small'}",
         ]
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from anyprune.errors import DataError, NumericError, ParameterError, RefinementError
+from anyprune.harness import evaluate
+from anyprune.kernels import BLOCK_IMAGES
 from anyprune.models import ModelSpec, ParamRegistry, build_model
 from anyprune.pruning import (
     SCORE_CHUNK,
@@ -71,7 +73,14 @@ class TestKeepCount:
             keep_count(1.0, 0)
 
 
-class _LinearSquaredModel:
+class _MLPSlices:
+    """The row slices of an MLP, for the test models below."""
+
+    def row_slices(self, n, rows):
+        return [slice(start, start + rows) for start in range(0, n, rows)]
+
+
+class _LinearSquaredModel(_MLPSlices):
     """pred = w . x with loss 0.5 * mean (pred - y)^2; analytic gradients."""
 
     def __init__(self, w):
@@ -127,7 +136,7 @@ class TestSnip:
                 selection_scores(pruner, model, mask, np.zeros((0, 1)), np.zeros(0))
 
 
-class _QuadraticModel:
+class _QuadraticModel(_MLPSlices):
     """L(w) = 0.5 * w' diag(d) w with the analytic gradient diag(d) w."""
 
     def __init__(self, w, diag):
@@ -210,6 +219,9 @@ class TestChunkedScoring:
     ], ids=["mlp", "convnet_padding_1"])
     def test_ragged_chunks_match_the_whole_batch(self, spec):
         model, x, y = _scoring_case(spec, 2 * SCORE_CHUNK + 1, seed=5)
+        slices = model.row_slices(x.shape[0], SCORE_CHUNK)
+        # more than two slices, and a ragged tail
+        assert len(slices) > 2 and y[slices[-1]].size < y[slices[0]].size
         want = model.loss_and_grads(x, y)[1]
         got = _mean_grads(model, x, y)
         assert list(got) == list(want)
@@ -243,6 +255,29 @@ class TestChunkedScoring:
             finally:
                 tracemalloc.stop()
         assert peaks[8192] - peaks[2048] <= 2 ** 20, peaks
+
+    @pytest.mark.parametrize("call", ["snip", "grasp", "predict", "evaluate"])
+    def test_convnet_peak_stays_at_one_kernel_block(self, call):
+        # the digits convnet; the rows are allocated before tracing starts
+        spec = ModelSpec((1, 14, 14), 10, conv_stack=((8, 3, 1, 1), (16, 3, 1, 1)))
+        model, x, y = _scoring_case(spec, 1024, seed=3)
+        mask = SparsityMask.full(model)
+        forward = {
+            "snip": lambda n: selection_scores("snip", model, mask, x[:n], y[:n]),
+            "grasp": lambda n: selection_scores("grasp", model, mask, x[:n], y[:n]),
+            "predict": lambda n: model.predict(x[:n]),
+            "evaluate": lambda n: evaluate(model, x[:n], y[:n]),
+        }[call]
+        forward(BLOCK_IMAGES)  # warm-up
+        peaks = {}
+        for n in (64, 1024):
+            tracemalloc.start()
+            try:
+                forward(n)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1024] - peaks[64] <= 2 ** 18, peaks
 
 
 class TestMagnitudeAndRandom:
