@@ -55,6 +55,14 @@ def _sweep_one(job):
     return None
 
 
+def _pooled_outcome(future):
+    """A pooled job's result; a job whose worker process died failed."""
+    try:
+        return future.result()
+    except concurrent.futures.process.BrokenProcessPool:
+        return "worker process died"
+
+
 def _cmd_sweep(args):
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
@@ -82,7 +90,9 @@ def _cmd_sweep(args):
     workers = min(args.parallel, len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(_sweep_one, jobs))
+            # one future per job, so a dead worker fails only the jobs it takes down
+            futures = [pool.submit(_sweep_one, job) for job in jobs]
+            errors = [_pooled_outcome(f) for f in futures]
     else:
         errors = [_sweep_one(job) for job in jobs]
     failed = sum(e is not None for e in errors)

@@ -157,6 +157,7 @@ def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global
             global_iter += 1
             _check_loss("training", step_loss, epoch, global_iter)
             sgd_momentum_step(params, grads, optim, mask)
+            del grads  # used up by the step; the next backward builds a new set
             correct += int((np.argmax(logits, axis=1) == yb).sum())
             loss_sum += step_loss * yb.size
             if observer is not None and hasattr(observer, "on_step"):
@@ -303,7 +304,7 @@ def run(config, observer=None):
             if observer is not None and hasattr(observer, "on_megabatch_start"):
                 observer.on_megabatch_start(t, model, mask)
             view = replay_view(stream, t, config.replay)
-            optim = OptimState(model.params(), config.lr0, config.momentum, config.weight_decay)
+            optim = OptimState(config.lr0, config.momentum, config.weight_decay)
             events = []  # (kind, detail), numbered in order below
             snap, best_rec, records, global_iter = train_megabatch(
                 model, mask, dataset, view, config, t, epochs=range(1, at + 1),
@@ -323,10 +324,11 @@ def run(config, observer=None):
                     observer.on_prune(t, mask, new_mask)
                 mask = new_mask
                 apply_mask(model, mask)
-                for name, m in mask.arrays.items():
-                    optim.velocity[name] *= m
+                for name in mask.arrays.keys() & optim.velocity.keys():  # momentum exists once stepped
+                    optim.velocity[name] *= mask.arrays[name]
                 _warn_collapse(t, mask)
                 events.append(("prune", detail))
+            del snap  # restored above, or a warmup's best that nothing reads
             phase = "train"
             snap, rec, records, global_iter = train_megabatch(
                 model, mask, dataset, view, config, t, epochs=range(at + 1, config.epochs + 1),
@@ -339,6 +341,7 @@ def run(config, observer=None):
                 events.append(("train", {"first_epoch": at + 1, "last_epoch": config.epochs}))
                 best_rec = rec
                 model.restore(snap)
+                del snap
 
             phase = "eval"
             preds = model.predict(dataset.x_test)

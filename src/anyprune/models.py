@@ -171,8 +171,9 @@ class Model:
         return {e.name: e.tensor.data.copy() for e in self.registry}
 
     def restore(self, snap):
+        """Load a snapshot by taking its arrays, not copies: the snapshot is used up."""
         for e in self.registry:
-            e.tensor.data = snap[e.name].copy()
+            e.tensor.data = snap[e.name]
 
 
 def _dense_init(fan_in, fan_out, seed_keys):

@@ -94,6 +94,7 @@ def _mean_grads(model, x, y):
         else:
             for name, g in grads.items():
                 total[name] += g
+        del grads  # summed into total; the next slice's backward builds a new set
     return total
 
 

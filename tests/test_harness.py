@@ -3,19 +3,21 @@
 import logging
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from anyprune import harness
 from anyprune.config import parse_config
+from anyprune.datasets import Dataset
 from anyprune.errors import NumericError
 from anyprune.harness import run, train_megabatch
 from anyprune.models import ModelSpec, build_model
 from anyprune.optim import OptimState
 from anyprune.pruning import SparsityMask, keep_count, make_delta_schedule
 from anyprune.rng import round_half_up
-from anyprune.stream import build_stream, replay_view
+from anyprune.stream import Megabatch, build_stream, replay_view
 
 
 def _cfg(**overrides):
@@ -305,7 +307,7 @@ class TestTrainMegabatch:
         stream = build_stream(dataset, cfg.megabatches, cfg.val_fraction, None, cfg.seed_partition)
         model = build_model(ModelSpec((8,), 3, hidden=(12,)), seed=cfg.seed_init)
         before = model.snapshot()
-        optim = OptimState(model.params(), cfg.lr0, cfg.momentum, cfg.weight_decay)
+        optim = OptimState(cfg.lr0, cfg.momentum, cfg.weight_decay)
         snap, rec, records, gi = train_megabatch(
             model, SparsityMask.full(model), dataset, replay_view(stream, 1, "full"), cfg, 1,
             epochs=range(0), optim=optim,
@@ -313,6 +315,33 @@ class TestTrainMegabatch:
         assert snap is None and rec is None and records == [] and gi == 0
         for name, arr in before.items():
             np.testing.assert_array_equal(model.registry[name].tensor.data, arr)
+
+    def test_an_epoch_holds_one_gradient_set(self):
+        # the prune_wide MLP; the rows are allocated before tracing starts.
+        # A step's gradients die before the next backward builds its own
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((104, 196))
+        y = rng.integers(0, 10, 104)
+        dataset = Dataset(x, y, x[:1], y[:1], input_shape=(196,), class_count=10)
+        model = build_model(ModelSpec((196,), 10, hidden=(1024, 512)), seed=0)
+        mask = SparsityMask.full(model)
+        cfg = _cfg(minibatch=32)
+        optim = OptimState(cfg.lr0, cfg.momentum, cfg.weight_decay)
+        val = np.arange(96, 104)
+        views = {1: Megabatch(np.arange(32), val), 3: Megabatch(np.arange(96), val)}
+        train_megabatch(model, mask, dataset, views[1], cfg, 1, range(1, 2), optim)  # warm-up
+        peaks = {}
+        for steps, view in views.items():
+            tracemalloc.start()
+            try:
+                train_megabatch(model, mask, dataset, view, cfg, 1, range(1, 2), optim)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] - peaks[1] <= 2 ** 18, peaks
+        # one whole-model set at a time: the gradients, then the best snapshot
+        model_bytes = sum(e.tensor.data.nbytes for e in model.registry)
+        assert peaks[3] < 1.25 * model_bytes, (peaks, model_bytes)
 
 
 class TestGlobalIter:

@@ -1,7 +1,9 @@
 """Config parsing, dataset ingestion, serialization, and the CLI surface."""
 
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 import os
 import pathlib
 import re
@@ -371,7 +373,7 @@ class TestSynthetic:
     def test_blobs_linearly_separable_via_probe(self):
         ds = gen_blobs(2, 50, 2, 0.1, seed=0, test_per_class=10)
         model = build_model(ModelSpec((2,), 2), seed=0)
-        state = OptimState(model.params(), lr=0.5, momentum=0.9)
+        state = OptimState(lr=0.5, momentum=0.9)
         params = model.params()
         for _ in range(200):
             _, grads, _ = model.loss_and_grads(ds.x, ds.y)
@@ -831,6 +833,34 @@ class TestCli:
             f"ok      {cfg_dir / 'b_small.cfg'} -> {out / 'b_small'}",
         ]
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched _execute reaches the workers only when they are forked",
+    )
+    def test_sweep_records_a_dead_worker_as_failed(self, tmp_path, capsys, monkeypatch):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a_dies.cfg").write_text(SMALL_RUN + "seed = 1\n")
+        (cfg_dir / "b_small.cfg").write_text(SMALL_RUN)
+        real = anyprune.cli._execute
+
+        def die_at_seed_1(config, outdir):
+            if config.seed == 1:
+                os._exit(1)
+            return real(config, outdir)
+
+        monkeypatch.setattr("anyprune.cli._execute", die_at_seed_1)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "2"]) == 2
+        assert not (out / "a_dies").exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert f"failed  {cfg_dir / 'a_dies.cfg'}: worker process died" in lines
+        # the other job finished before the pool broke, or was taken down with it
+        finished = lines[-1] == f"ok      {cfg_dir / 'b_small.cfg'} -> {out / 'b_small'}"
+        assert finished or lines[-1] == f"failed  {cfg_dir / 'b_small.cfg'}: worker process died"
+        assert lines[-3] == f"sweep: {int(finished)} of 2 configs finished"
+        assert not finished or (out / "b_small" / "summary.json").exists()
+
     def test_sweep_reports_an_error_with_an_empty_message_as_failed(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -927,8 +957,10 @@ class TestCli:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, job):
+                future = concurrent.futures.Future()
+                future.set_result(fn(job))
+                return future
 
         ran = []
         monkeypatch.setattr("anyprune.cli.concurrent.futures.ProcessPoolExecutor", SerialPool)

@@ -72,6 +72,14 @@ def test_forward_does_not_mutate_params():
         np.testing.assert_array_equal(model.registry[name].tensor.data, arr)
 
 
+def test_restore_takes_the_snapshot_arrays():
+    model = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=1)
+    snap = model.snapshot()
+    model.restore(snap)
+    for e in model.registry:
+        assert e.tensor.data is snap[e.name], e.name
+
+
 def test_all_ones_mask_preserves_logits():
     model = build_model(ModelSpec((5,), 3, hidden=(6,)), seed=2)
     x = np.random.default_rng(1).standard_normal((4, 5))

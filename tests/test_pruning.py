@@ -242,19 +242,22 @@ class TestChunkedScoring:
 
     @pytest.mark.parametrize("pruner", ["snip", "grasp"])
     def test_scoring_peak_does_not_grow_with_the_scoring_set(self, pruner):
-        # the prune_wide MLP; the rows are allocated before tracing starts
+        # the prune_wide MLP; the rows are allocated before tracing starts.
+        # Each slice's gradients die once summed, so from the second slice on
+        # the sum and one slice's set are all that is held
         model, x, y = _scoring_case(ModelSpec((196,), 10, hidden=(1024, 512)), 8192, seed=3)
         mask = SparsityMask.full(model)
         selection_scores(pruner, model, mask, x[:SCORE_CHUNK], y[:SCORE_CHUNK])  # warm-up
         peaks = {}
-        for n in (2048, 8192):
+        for n in (2 * SCORE_CHUNK, 3 * SCORE_CHUNK, 2048, 8192):
             tracemalloc.start()
             try:
                 selection_scores(pruner, model, mask, x[:n], y[:n])
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[8192] - peaks[2048] <= 2 ** 20, peaks
+        for peak in peaks.values():
+            assert abs(peak - peaks[2 * SCORE_CHUNK]) <= 2 ** 18, peaks
 
     @pytest.mark.parametrize("call", ["snip", "grasp", "predict", "evaluate"])
     def test_convnet_peak_stays_at_one_kernel_block(self, call):

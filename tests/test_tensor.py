@@ -1,6 +1,7 @@
 """Tensor-core oracles: hand arithmetic, finite differences, and analytic HVPs."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -336,14 +337,14 @@ class TestHvp:
 class TestSgdMomentumStep:
     def test_vanilla_step(self):
         p = {"w": Tensor([1.0])}
-        state = OptimState(p, lr=0.1, momentum=0.0, weight_decay=0.0)
+        state = OptimState(lr=0.1, momentum=0.0, weight_decay=0.0)
         sgd_momentum_step(p, {"w": np.array([2.0])}, state, SparsityMask({}))
         np.testing.assert_allclose(p["w"].data, [0.8], rtol=1e-15)
 
     def test_masked_position_stays_zero(self):
         p = {"w": Tensor([0.0, 1.0])}
         mask = SparsityMask({"w": np.array([0.0, 1.0])})
-        state = OptimState(p, lr=0.5, momentum=0.9, weight_decay=0.0)
+        state = OptimState(lr=0.5, momentum=0.9, weight_decay=0.0)
         for _ in range(3):
             sgd_momentum_step(p, {"w": np.array([5.0, 0.1])}, state, mask)
             assert p["w"].data[0] == 0.0
@@ -356,7 +357,7 @@ class TestSgdMomentumStep:
             v_ref = 0.9 * v_ref + (1.0 + 1e-4 * w_ref)
             w_ref = w_ref - 0.1 * v_ref
         p = {"w": Tensor([1.0])}
-        state = OptimState(p, lr=0.1, momentum=0.9, weight_decay=1e-4)
+        state = OptimState(lr=0.1, momentum=0.9, weight_decay=1e-4)
         for _ in range(2):
             sgd_momentum_step(p, {"w": np.array([1.0])}, state, SparsityMask({}))
         np.testing.assert_allclose(p["w"].data, [w_ref], rtol=1e-15)
@@ -364,7 +365,7 @@ class TestSgdMomentumStep:
 
     def test_shape_mismatch(self):
         p = {"w": Tensor([1.0, 2.0])}
-        state = OptimState(p, lr=0.1)
+        state = OptimState(lr=0.1)
         with pytest.raises(ShapeError):
             sgd_momentum_step(p, {"w": np.zeros(3)}, state, SparsityMask({}))
         # a mask that keeps every weight multiplies nothing, yet its shape is checked
@@ -378,7 +379,7 @@ class TestSgdMomentumStep:
             "a": (rng.random(10) < 0.5).astype(float),
             "b": (rng.random((3, 3)) < 0.5).astype(float),
         })
-        state = OptimState(p, lr=0.05, momentum=0.9, weight_decay=1e-4)
+        state = OptimState(lr=0.05, momentum=0.9, weight_decay=1e-4)
         for _ in range(25):
             grads = {k: rng.standard_normal(v.shape) for k, v in p.items()}
             sgd_momentum_step(p, grads, state, mask)
@@ -402,7 +403,7 @@ class TestSgdMomentumStep:
         runs = []
         for mask in (full, SparsityMask({})):
             p = {k: Tensor(v.copy()) for k, v in init.items()}
-            state = OptimState(p, lr=0.05, momentum=0.9, weight_decay=1e-4)
+            state = OptimState(lr=0.05, momentum=0.9, weight_decay=1e-4)
             steps = np.random.default_rng(4)
             for _ in range(5):
                 grads = {k: self._awkward_values(steps, s) for k, s in shapes.items()}
@@ -413,12 +414,69 @@ class TestSgdMomentumStep:
             assert p_full[k].data.tobytes() == p_none[k].data.tobytes()
             assert s_full.velocity[k].tobytes() == s_none.velocity[k].tobytes()
 
+    def test_fresh_state_holds_no_buffer(self):
+        p = {"w": Tensor([1.0, 2.0]), "b": Tensor([0.5])}
+        state = OptimState(lr=0.1)
+        assert state.velocity == {}
+        sgd_momentum_step(p, {"w": np.array([1.0, -1.0]), "b": np.array([2.0])}, state, SparsityMask({}))
+        assert list(state.velocity) == ["w", "b"]
+        np.testing.assert_array_equal(state.velocity["w"], [1.0, -1.0])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_step_keeps_the_bits_of_the_out_of_place_step(self, weight_decay):
+        # the out-of-place step: zeroed momentum up front, a fresh lr*v and a
+        # float64 copy of the mask for the partly pruned tensor
+        rng = np.random.default_rng(8)
+        shapes = {"part": (7, 5), "full": (5, 3), "bias": (3,)}
+        init = {k: self._awkward_values(rng, s) for k, s in shapes.items()}
+        keep = rng.random(shapes["part"]) < 0.6
+        mask = SparsityMask({"part": keep, "full": np.ones(shapes["full"], dtype=bool)})
+        p = {k: Tensor(v.copy()) for k, v in init.items()}
+        state = OptimState(lr=0.05, momentum=0.9, weight_decay=weight_decay)
+        ref_p = {k: v.copy() for k, v in init.items()}
+        ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+        for _ in range(6):
+            grads = {k: self._awkward_values(rng, s) for k, s in shapes.items()}
+            for k, g in grads.items():
+                step = g + weight_decay * ref_p[k] if weight_decay else g
+                ref_v[k] *= 0.9
+                ref_v[k] += step
+                ref_p[k] -= 0.05 * ref_v[k]
+            m = keep.astype(np.float64)
+            ref_p["part"] *= m
+            ref_v["part"] *= m
+            sgd_momentum_step(p, {k: g.copy() for k, g in grads.items()}, state, mask)
+            for k in shapes:
+                assert p[k].data.tobytes() == ref_p[k].tobytes(), k
+                assert state.velocity[k].tobytes() == ref_v[k].tobytes(), k
+
+    def test_partly_pruned_step_allocates_no_model_sized_buffer(self):
+        # the prune_wide MLP; the gradients are allocated before tracing starts
+        model = build_model(ModelSpec((196,), 10, hidden=(1024, 512)), seed=0)
+        params = model.params()
+        rng = np.random.default_rng(9)
+        mask = SparsityMask({e.name: rng.random(e.tensor.shape) < 0.5 for e in model.registry.prunable()})
+        state = OptimState(lr=0.05, momentum=0.9)
+
+        def fresh_grads():
+            return {name: rng.standard_normal(p.shape) for name, p in params.items()}
+
+        sgd_momentum_step(params, fresh_grads(), state, mask)  # warm-up: the momentum buffers
+        grads = fresh_grads()
+        tracemalloc.start()
+        try:
+            sgd_momentum_step(params, grads, state, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16, peak
+
     def test_only_the_partial_tensor_is_zeroed(self):
         rng = np.random.default_rng(5)
         p = {"full": Tensor(rng.standard_normal((3, 3))), "part": Tensor(rng.standard_normal(6))}
         keep = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
         mask = SparsityMask({"full": np.ones((3, 3)), "part": keep})
-        state = OptimState(p, lr=0.1, momentum=0.9, weight_decay=0.0)
+        state = OptimState(lr=0.1, momentum=0.9, weight_decay=0.0)
         for _ in range(3):
             grads = {k: np.abs(rng.standard_normal(v.shape)) + 1.0 for k, v in p.items()}
             sgd_momentum_step(p, grads, state, mask)
