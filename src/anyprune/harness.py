@@ -175,6 +175,7 @@ def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global
         records.append(rec)
         if best_rec is None or rec.val_correct > best_rec.val_correct:
             best_rec = rec
+            del best_snap  # the old best goes before the new copy is made
             best_snap = model.snapshot()
     return best_snap, best_rec, records, global_iter
 

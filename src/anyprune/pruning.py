@@ -218,7 +218,5 @@ def apply_mask(model, mask):
 
 
 def layer_pruned_fraction(mask):
-    """Per masked tensor (name, fraction pruned), plus a global row."""
-    rows = [(name, 1.0 - mask.kept[name] / m.size) for name, m in mask.arrays.items()]
-    rows.append(("global", (1.0 - mask.kept_count / mask.size) if mask.size else 0.0))
-    return rows
+    """Per masked tensor (name, fraction pruned)."""
+    return [(name, 1.0 - mask.kept[name] / m.size) for name, m in mask.arrays.items()]

@@ -10,6 +10,7 @@ so that equivalent runs compare byte-equal on their summaries.
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import shutil
@@ -194,7 +195,7 @@ def read_megabatches_csv(path):
 
 
 # ---------------------------------------------------------------------------
-# SVG emission (fixed-size line and bar charts, no dependencies)
+# SVG emission (fixed-size line charts, no dependencies)
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 15, 30, 45
@@ -203,40 +204,8 @@ _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e
 
 
 def _ticks(lo, hi, n=5):
-    if hi == lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
-
-
-def _svg_open(title):
-    """A chart buffer holding the canvas, the title and the plot-area frame."""
-    out = io.StringIO()
-    out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">\n'
-    )
-    out.write(f'<rect width="{_W}" height="{_H}" fill="white"/>\n')
-    out.write(
-        f'<text x="{_W / 2:.1f}" y="18" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{title}</text>\n'
-    )
-    out.write(
-        f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" fill="none" '
-        f'stroke="#333" stroke-width="1"/>\n'
-    )
-    return out
-
-
-def _svg_axis_labels(out, xlabel, ylabel):
-    out.write(
-        f'<text x="{_ML + _PW / 2:.1f}" y="{_H - 8}" text-anchor="middle" '
-        f'font-size="11" font-family="sans-serif">{xlabel}</text>\n'
-    )
-    out.write(
-        f'<text x="14" y="{_MT + _PH / 2:.1f}" text-anchor="middle" font-size="11" '
-        f'font-family="sans-serif" transform="rotate(-90 14 {_MT + _PH / 2:.1f})">{ylabel}</text>\n'
-    )
 
 
 def _svg_line_chart(series, title, xlabel, ylabel):
@@ -256,7 +225,16 @@ def _svg_line_chart(series, title, xlabel, ylabel):
     def py(y):
         return _MT + _PH - (y - ylo) / (yhi - ylo) * _PH
 
-    out = _svg_open(title)
+    out = io.StringIO()
+    out.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">\n'
+        f'<rect width="{_W}" height="{_H}" fill="white"/>\n'
+        f'<text x="{_W / 2:.1f}" y="18" text-anchor="middle" font-size="14" '
+        f'font-family="sans-serif">{title}</text>\n'
+        f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" fill="none" '
+        f'stroke="#333" stroke-width="1"/>\n'
+    )
     for v in _ticks(xlo, xhi):
         out.write(
             f'<text x="{px(v):.1f}" y="{_MT + _PH + 16}" text-anchor="middle" '
@@ -267,14 +245,17 @@ def _svg_line_chart(series, title, xlabel, ylabel):
             f'<text x="{_ML - 6}" y="{py(v) + 3:.1f}" text-anchor="end" '
             f'font-size="10" font-family="sans-serif">{v:.4g}</text>\n'
         )
-    _svg_axis_labels(out, xlabel, ylabel)
+    out.write(
+        f'<text x="{_ML + _PW / 2:.1f}" y="{_H - 8}" text-anchor="middle" '
+        f'font-size="11" font-family="sans-serif">{xlabel}</text>\n'
+        f'<text x="14" y="{_MT + _PH / 2:.1f}" text-anchor="middle" font-size="11" '
+        f'font-family="sans-serif" transform="rotate(-90 14 {_MT + _PH / 2:.1f})">{ylabel}</text>\n'
+    )
     for i, (label, pts) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
         out.write(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
-        )
-        out.write(
             f'<text x="{_ML + _PW - 6}" y="{_MT + 14 + 13 * i}" text-anchor="end" '
             f'font-size="10" font-family="sans-serif" fill="{color}">{label}</text>\n'
         )
@@ -282,79 +263,30 @@ def _svg_line_chart(series, title, xlabel, ylabel):
     return out.getvalue()
 
 
-def _svg_grouped_bars(groups, bar_labels, title, xlabel, ylabel):
-    """groups: list of (group_label, [height per bar]) with heights in [0, 1]."""
-    out = _svg_open(title)
-    for v in _ticks(0.0, 1.0):
-        y = _MT + _PH - v * _PH
-        out.write(
-            f'<text x="{_ML - 6}" y="{y + 3:.1f}" text-anchor="end" font-size="10" '
-            f'font-family="sans-serif">{v:.2f}</text>\n'
-        )
-    n_groups = max(1, len(groups))
-    n_bars = max(1, len(bar_labels))
-    group_w = _PW / n_groups
-    bar_w = group_w * 0.8 / n_bars
-    for gi, (glabel, heights) in enumerate(groups):
-        x0 = _ML + gi * group_w + group_w * 0.1
-        for bi, h in enumerate(heights):
-            color = _COLORS[bi % len(_COLORS)]
-            bh = max(0.0, min(1.0, h)) * _PH
-            out.write(
-                f'<rect x="{x0 + bi * bar_w:.2f}" y="{_MT + _PH - bh:.2f}" '
-                f'width="{bar_w:.2f}" height="{bh:.2f}" fill="{color}"/>\n'
-            )
-        out.write(
-            f'<text x="{x0 + group_w * 0.4:.1f}" y="{_MT + _PH + 16}" text-anchor="middle" '
-            f'font-size="10" font-family="sans-serif">{glabel}</text>\n'
-        )
-    for bi, label in enumerate(bar_labels):
-        color = _COLORS[bi % len(_COLORS)]
-        out.write(
-            f'<text x="{_ML + _PW - 6}" y="{_MT + 14 + 13 * bi}" text-anchor="end" '
-            f'font-size="10" font-family="sans-serif" fill="{color}">{label}</text>\n'
-        )
-    _svg_axis_labels(out, xlabel, ylabel)
-    out.write("</svg>\n")
-    return out.getvalue()
-
-
-def _render_charts(gap_pts, cer_pts, layer_groups, layer_labels, outdir):
-    gap_svg = _svg_line_chart(
-        [("gen gap", gap_pts)] if gap_pts else [],
-        "Generalization gap over training", "optimizer steps", "gap (pp)",
-    )
-    cer_svg = _svg_line_chart(
-        [("CER", cer_pts)] if cer_pts else [],
-        "Cumulative error rate", "megabatch", "test errors (cumulative)",
-    )
-    layers_svg = _svg_grouped_bars(
-        layer_groups, layer_labels, "Pruned weights per layer", "megabatch",
-        "fraction pruned",
-    )
-    for name, content in (
-        ("gen_gap.svg", gap_svg), ("cer.svg", cer_svg), ("layer_pruned.svg", layers_svg),
-    ):
-        with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="\n") as f:
-            f.write(content)
-
-
 def emit_svg_from_dir(rundir):
-    """Render gen_gap.svg, cer.svg, and layer_pruned.svg from a run's CSVs."""
+    """Render gen_gap.svg, cer.svg, and layer_pruned.svg from a run's CSVs.
+
+    The CER and per-layer series start at megabatch 0, before any test error
+    is counted or any weight pruned, so a one-megabatch run still draws a line.
+    """
     _, curves = _read_csv(os.path.join(rundir, "curves.csv"))
     mb_rows, layer_cols = read_megabatches_csv(os.path.join(rundir, "megabatches.csv"))
-
-    gap_pts = [
+    megabatches = [0.0] + [float(r["megabatch"]) for r in mb_rows]
+    gap = [
         (float(r["global_iter"]), 100.0 * (float(r["train_acc"]) - float(r["val_acc"])))
         for r in curves
     ]
-    running = 0
-    cer_pts = []
-    for r in mb_rows:
-        running += int(r["test_errors"])
-        cer_pts.append((float(r["megabatch"]), float(running)))
-    groups = [
-        (r["megabatch"], [float(r[c]) for c in layer_cols]) for r in mb_rows
+    cer = itertools.accumulate((float(r["test_errors"]) for r in mb_rows), initial=0.0)
+    layers = [
+        (c[len("pruned_"):], list(zip(megabatches, [0.0] + [float(r[c]) for r in mb_rows])))
+        for c in layer_cols
     ]
-    labels = [c[len("pruned_"):] for c in layer_cols]
-    _render_charts(gap_pts, cer_pts, groups, labels, rundir)
+    for name, series, title, xlabel, ylabel in (
+        ("gen_gap.svg", [("gen gap", gap)], "Generalization gap over training",
+         "optimizer steps", "gap (pp)"),
+        ("cer.svg", [("CER", list(zip(megabatches, cer)))], "Cumulative error rate",
+         "megabatch", "test errors (cumulative)"),
+        ("layer_pruned.svg", layers, "Pruned weights per layer", "megabatch", "fraction pruned"),
+    ):
+        with open(os.path.join(rundir, name), "w", encoding="utf-8", newline="\n") as f:
+            f.write(_svg_line_chart(series, title, xlabel, ylabel))

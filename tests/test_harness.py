@@ -1,5 +1,6 @@
 """Variant mechanics: event order, pi sizes, carryover, and mask trajectories."""
 
+import itertools
 import logging
 import pathlib
 import re
@@ -111,7 +112,7 @@ class TestVariantEventOrder:
             assert isinstance(mask, SparsityMask)
             assert mask.kept_count == log.prunable_total
         for rec in log.megabatches:
-            assert [name for name, _ in rec.layer_pruned] == log.layer_names + ["global"]
+            assert [name for name, _ in rec.layer_pruned] == log.layer_names
             assert all(frac == 0.0 for _, frac in rec.layer_pruned)
         _assert_seq_counts_each_megabatch(log)
 
@@ -342,6 +343,38 @@ class TestTrainMegabatch:
         # one whole-model set at a time: the gradients, then the best snapshot
         model_bytes = sum(e.tensor.data.nbytes for e in model.registry)
         assert peaks[3] < 1.25 * model_bytes, (peaks, model_bytes)
+
+    def test_a_new_best_frees_the_old_snapshot(self, monkeypatch):
+        # every epoch is a new best, so every epoch takes a snapshot; the old
+        # one must be gone by the time the new copy exists
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((40, 196))
+        y = rng.integers(0, 10, 40)
+        dataset = Dataset(x, y, x[:1], y[:1], input_shape=(196,), class_count=10)
+        model = build_model(ModelSpec((196,), 10, hidden=(1024, 512)), seed=0)
+        mask = SparsityMask.full(model)
+        cfg = _cfg(minibatch=32, epochs=3)
+        optim = OptimState(cfg.lr0, cfg.momentum, cfg.weight_decay)
+        view = Megabatch(np.arange(32), np.arange(32, 40))
+        calls = itertools.count(1)
+        monkeypatch.setattr(harness, "evaluate", lambda model, x, y: (next(calls), x.shape[0], 1.0))
+        train_megabatch(model, mask, dataset, view, cfg, 1, range(1, 2), optim)  # warm-up
+        take, held = model.snapshot, []
+
+        def snapshot():
+            snap = take()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return snap
+
+        monkeypatch.setattr(model, "snapshot", snapshot)
+        tracemalloc.start()
+        try:
+            train_megabatch(model, mask, dataset, view, cfg, 1, range(1, 4), optim)
+        finally:
+            tracemalloc.stop()
+        model_bytes = sum(e.tensor.data.nbytes for e in model.registry)
+        assert len(held) == 3
+        assert max(held) < 1.5 * model_bytes, (held, model_bytes)
 
 
 class TestGlobalIter:

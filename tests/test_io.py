@@ -24,6 +24,7 @@ from anyprune.datasets import (
     gen_spirals,
     load_csv,
     load_idx,
+    split_test,
     write_idx,
 )
 from anyprune.errors import ConfigError, DataError, FormatError, ModelSpecError, NumericError
@@ -34,6 +35,7 @@ from anyprune.optim import OptimState, sgd_momentum_step
 from anyprune.pruning import SparsityMask
 from anyprune.reporting import (
     CURVES_COLUMNS,
+    RUN_ARTIFACTS,
     write_run_dir,
     write_summary_json,
 )
@@ -416,6 +418,38 @@ class TestCsv:
         with pytest.raises(FormatError, match=f"{p}:3: .*{cell!r} is not finite"):
             load_csv(p, "label")
 
+    def test_split_test_is_a_seeded_disjoint_cover(self):
+        x = np.arange(50.0).reshape(50, 1)
+        y = np.arange(50) % 3
+        x_train, y_train, x_test, y_test = split_test(x, y, 0.2, seed=4)
+        assert (x_train.shape[0], x_test.shape[0]) == (40, 10)
+        rows = np.concatenate([x_train[:, 0], x_test[:, 0]])
+        np.testing.assert_array_equal(np.sort(rows), x[:, 0])  # disjoint and covering
+        np.testing.assert_array_equal(y_train, x_train[:, 0].astype(int) % 3)
+        np.testing.assert_array_equal(y_test, x_test[:, 0].astype(int) % 3)
+        np.testing.assert_array_equal(split_test(x, y, 0.2, seed=4)[2], x_test)
+        assert not np.array_equal(split_test(x, y, 0.2, seed=5)[2], x_test)
+
+    def test_cli_run_is_byte_deterministic(self, tmp_path):
+        rng = np.random.default_rng(7)
+        labels = np.arange(120) % 3
+        feats = rng.standard_normal((120, 4)) + labels[:, None]
+        data = tmp_path / "data.csv"
+        data.write_text("f1,f2,f3,f4,label\n" + "".join(
+            ",".join(map(repr, row)) + f",{label}\n" for row, label in zip(feats.tolist(), labels)
+        ))
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(
+            "variant = app_default\npruner = snip\ntau = 2.0\nmegabatches = 2\nepochs = 2\n"
+            f"mlp_hidden = 8\ndataset = csv\ncsv_path = {data}\ncsv_label_column = label\n"
+        )
+        outs = [tmp_path / "one", tmp_path / "two"]
+        for out in outs:
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert sorted(os.listdir(outs[0])) == sorted(RUN_ARTIFACTS)
+        for name in RUN_ARTIFACTS - {"meta.json"}:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 SMALL_RUN = """
 variant = app_default
@@ -528,6 +562,19 @@ class TestReporting:
             write_run_dir(log, tmp_path)
         assert sorted(os.listdir(tmp_path)) == sorted([foreign, "summary.json"])
         assert (tmp_path / foreign).read_text() == "not a run artifact"
+
+    def test_one_megabatch_run_draws_every_line(self, tmp_path):
+        log = run(parse_config(SMALL_RUN.replace("megabatches = 2", "megabatches = 1")
+                               .replace("epochs = 3", "epochs = 1")))
+        write_run_dir(log, tmp_path)
+        polylines = {
+            name: re.findall(r'<polyline points="([^"]*)"', (tmp_path / name).read_text())
+            for name in ("cer.svg", "layer_pruned.svg")
+        }
+        assert len(polylines["cer.svg"]) == 1
+        assert len(polylines["layer_pruned.svg"]) == len(log.layer_names) == 2
+        for name, lines in polylines.items():
+            assert all(len(points.split()) >= 2 for points in lines), (name, lines)
 
     def test_meta_carries_identity(self, small_run_dir):
         outdir, log = small_run_dir

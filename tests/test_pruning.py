@@ -563,13 +563,11 @@ class TestApplyMaskAndLayerStats:
         rows = layer_pruned_fraction(mask)
         total = sum(e.tensor.size for e in model.registry.prunable())
         pruned_by_layer = 0
-        for name, frac in rows[:-1]:
+        for name, frac in rows:
             size = model.registry[name].tensor.size
             count = round(frac * size)
             assert count == size - int(mask.arrays[name].sum())
             pruned_by_layer += count
-        assert rows[-1][0] == "global"
-        assert round(rows[-1][1] * total) == total - mask.kept_count
         assert pruned_by_layer == total - mask.kept_count
 
     def test_ten_weights_four_kept(self):
@@ -580,5 +578,5 @@ class TestApplyMaskAndLayerStats:
         rows = dict(layer_pruned_fraction(mask))
         assert rows["fc0_w"] == pytest.approx(0.6)
 
-    def test_empty_mask_has_only_a_zero_global_row(self):
-        assert layer_pruned_fraction(SparsityMask({})) == [("global", 0.0)]
+    def test_empty_mask_has_no_rows(self):
+        assert layer_pruned_fraction(SparsityMask({})) == []
