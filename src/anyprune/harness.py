@@ -140,7 +140,6 @@ def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global
     """
     if epochs and view.train_idx.size == 0:
         raise DataError("megabatch training view has no training samples")
-    params = model.params()
     kept = mask.kept_count
     records = []
     best_snap = best_rec = None
@@ -156,7 +155,7 @@ def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global
                 step_loss, grads, logits = model.loss_and_grads(xb, yb)
             global_iter += 1
             _check_loss("training", step_loss, epoch, global_iter)
-            sgd_momentum_step(params, grads, optim, mask)
+            sgd_momentum_step(model.params, grads, optim, mask)
             del grads  # used up by the step; the next backward builds a new set
             correct += int((np.argmax(logits, axis=1) == yb).sum())
             loss_sum += step_loss * yb.size

@@ -1,13 +1,15 @@
 """Desk-scale classifiers: ``ModelSpec(input_shape, class_count, hidden, conv_stack)``.
 
 An MLP is the spec with no conv layers; a small convnet puts a conv/relu/pool
-stack before the same dense layers. Every model exposes an ordered parameter
-registry whose entries carry a prunable flag: weight matrices and convolution
-kernels are prunable, biases are not.
+stack before the same dense layers. A built model holds its parameters in one
+ordered name -> Tensor dict, in parameter order (``conv{i}_w``, ``conv{i}_b``,
+then ``fc{i}_w``, ``fc{i}_b``), and names the prunable ones: weight matrices
+and convolution kernels are prunable, biases are not.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,45 +65,29 @@ class ModelSpec:
         return (self.flat_dim(), *self.hidden, self.class_count)
 
 
-@dataclass
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     name: str
     tensor: T.Tensor
     prunable: bool
 
 
-@dataclass
-class ParamRegistry:
-    entries: list = field(default_factory=list)
-
-    def add(self, name, tensor, prunable):
-        if any(e.name == name for e in self.entries):
-            raise ModelSpecError(f"duplicate parameter name {name!r}")
-        self.entries.append(RegistryEntry(name, tensor, prunable))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def prunable(self):
-        return [e for e in self.entries if e.prunable]
-
-
 class Model:
-    """A built classifier: spec, registry, and a taped forward pass."""
+    """A built classifier: spec, ordered ``params`` dict, ``prunable`` names, taped forward."""
 
-    def __init__(self, spec, registry):
+    def __init__(self, spec, params, prunable):
         self.spec = spec
-        self.registry = registry
+        self.params = params
+        self.prunable = prunable
 
-    def params(self):
-        """Ordered name -> Tensor mapping over every registry entry."""
-        return {e.name: e.tensor for e in self.registry}
+    @property
+    def registry(self):
+        """Read-only ``RegistryEntry`` view of the parameters, in parameter order.
+
+        Only the benchmark's out-of-package tracer (``perfbench/layertrace.py``)
+        reads it; nothing in the package does. ROADMAP item 2 deletes it along
+        with that tracer.
+        """
+        return tuple(RegistryEntry(n, p, n in self.prunable) for n, p in self.params.items())
 
     def forward(self, x, tape=None):
         """Logits [batch, C] for a [batch, d] (or image-shaped) input array.
@@ -121,16 +107,16 @@ class Model:
             x = x.reshape(x.shape[0], *self.spec.input_shape).transpose(0, 2, 3, 1)
             h = T.Tensor(x, requires_grad=False)
             for i, (_, _, stride, pad) in enumerate(self.spec.conv_stack):
-                h = T.conv2d(h, self.registry[f"conv{i}_w"].tensor, stride, pad, tape)
-                h = T.bias_add(h, self.registry[f"conv{i}_b"].tensor, tape)
+                h = T.conv2d(h, self.params[f"conv{i}_w"], stride, pad, tape)
+                h = T.bias_add(h, self.params[f"conv{i}_b"], tape)
                 h = T.relu(h, tape)
                 h = T.mean_pool2(h, tape)
             # fc0 takes the features in (h, w, c) order
             h = T.reshape(h, (h.shape[0], self.spec.flat_dim()), tape)
         n_dense = len(self.spec.dense_sizes()) - 1
         for i in range(n_dense):
-            h = T.matmul(h, self.registry[f"fc{i}_w"].tensor, tape)
-            h = T.bias_add(h, self.registry[f"fc{i}_b"].tensor, tape)
+            h = T.matmul(h, self.params[f"fc{i}_w"], tape)
+            h = T.bias_add(h, self.params[f"fc{i}_b"], tape)
             if i < n_dense - 1:
                 h = T.relu(h, tape)
         return h
@@ -139,13 +125,13 @@ class Model:
         """Mean cross-entropy over the batch, gradients per parameter, logits.
 
         Returns (loss, grads, logits): a float, a name -> array mapping over
-        every registry entry, and the [batch, C] logits array.
+        every parameter in parameter order, and the [batch, C] logits array.
         """
         tape = T.Tape()
         logits = self.forward(x, tape)
         loss = T.softmax_cross_entropy(logits, y, tape)
         leaf_grads = tape.backward(loss)
-        grads = {e.name: leaf_grads[e.tensor] for e in self.registry}
+        grads = {name: leaf_grads[p] for name, p in self.params.items()}
         return float(loss.data), grads, logits.data
 
     def row_slices(self, n, rows):
@@ -168,12 +154,12 @@ class Model:
         return self.sliced_forward(np.asarray(x, dtype=np.float64))[0]
 
     def snapshot(self):
-        return {e.name: e.tensor.data.copy() for e in self.registry}
+        return {name: p.data.copy() for name, p in self.params.items()}
 
     def restore(self, snap):
         """Load a snapshot by taking its arrays, not copies: the snapshot is used up."""
-        for e in self.registry:
-            e.tensor.data = snap[e.name]
+        for name, p in self.params.items():
+            p.data = snap[name]
 
 
 def _dense_init(fan_in, fan_out, seed_keys):
@@ -184,19 +170,18 @@ def _dense_init(fan_in, fan_out, seed_keys):
 
 def build_model(spec, seed):
     """Deterministic model construction: Kaiming-scaled weights, zero biases."""
-    reg = ParamRegistry()
+    params, prunable = {}, []
     # one draw per layer, convs first; the layer index doubles as the draw key
     cin = spec.input_shape[0]
     for layer, (cout, k, _, _) in enumerate(spec.conv_stack):
-        fan_in = cin * k * k
-        w = T.tensor_randn((cout, cin, k, k), (seed, layer), math.sqrt(2.0 / fan_in))
-        reg.add(f"conv{layer}_w", w, True)
-        reg.add(f"conv{layer}_b", T.Tensor(np.zeros(cout)), False)
+        scale = math.sqrt(2.0 / (cin * k * k))
+        params[f"conv{layer}_w"] = T.tensor_randn((cout, cin, k, k), (seed, layer), scale)
+        params[f"conv{layer}_b"] = T.Tensor(np.zeros(cout))
+        prunable.append(f"conv{layer}_w")
         cin = cout
     sizes = spec.dense_sizes()
     for i in range(len(sizes) - 1):
         layer = len(spec.conv_stack) + i
-        w, b = _dense_init(sizes[i], sizes[i + 1], (seed, layer))
-        reg.add(f"fc{i}_w", w, True)
-        reg.add(f"fc{i}_b", b, False)
-    return Model(spec, reg)
+        params[f"fc{i}_w"], params[f"fc{i}_b"] = _dense_init(sizes[i], sizes[i + 1], (seed, layer))
+        prunable.append(f"fc{i}_w")
+    return Model(spec, params, tuple(prunable))

@@ -1,12 +1,12 @@
 """Saliency scoring and progressive global pruning.
 
-Masks are per-prunable-tensor bool arrays keyed by registry name that count
+Masks are per-prunable-tensor bool arrays keyed by parameter name that count
 their own kept positions. Scorers rate every position from the weights and a
 batch gradient alone; pruning only ever refines an existing mask, because
 :func:`prune_global` ignores the scores of positions the mask already prunes.
 It keeps exactly the requested number of highest-scoring positions across all
 prunable tensors jointly, breaking ties toward the smaller global flat index
-(registry order, then row-major offset). Selection is linear in the number of
+(parameter order, then row-major offset). Selection is linear in the number of
 positions and holds one float64 buffer: an in-place partition finds the
 threshold score, every position above it is kept, and the positions tied at it
 fill the remaining slots in flat-index order.
@@ -47,7 +47,7 @@ class SparsityMask:
 
     @classmethod
     def full(cls, model):
-        return cls({e.name: np.ones(e.tensor.shape, dtype=bool) for e in model.registry.prunable()})
+        return cls({name: np.ones(model.params[name].shape, dtype=bool) for name in model.prunable})
 
 
 def make_delta_schedule(tau, steps):
@@ -105,9 +105,9 @@ def score_snip(model, x, y):
     it needs does not grow with the scoring set.
     """
     grads = _mean_grads(model, x, y)
-    scores = {e.name: grads[e.name] for e in model.registry.prunable()}
+    scores = {name: grads[name] for name in model.prunable}
     for name, g in scores.items():  # fresh buffers, so each is scored in place
-        np.abs(np.multiply(g, model.registry[name].tensor.data, out=g), out=g)
+        np.abs(np.multiply(g, model.params[name].data, out=g), out=g)
     return scores
 
 
@@ -125,19 +125,19 @@ def score_grasp(model, mask, x, y):
     v = _mean_grads(model, x, y)
     for name, m in mask.arrays.items():  # fresh buffers, so each is masked in place
         v[name] *= m
-    hv = T.hvp_fd(lambda: _mean_grads(model, x, y), model.params(), v)
+    hv = T.hvp_fd(lambda: _mean_grads(model, x, y), model.params, v)
     scores = {}
-    for e in model.registry.prunable():
-        s = -(e.tensor.data * hv[e.name])
+    for name in model.prunable:
+        s = -(model.params[name].data * hv[name])
         if not np.all(np.isfinite(s)):
-            raise NumericError(f"non-finite GraSP scores for {e.name!r}")
-        scores[e.name] = s
+            raise NumericError(f"non-finite GraSP scores for {name!r}")
+        scores[name] = s
     return scores
 
 
 def score_magnitude(model):
     """|weight|."""
-    return {e.name: np.abs(e.tensor.data) for e in model.registry.prunable()}
+    return {name: np.abs(model.params[name].data) for name in model.prunable}
 
 
 def score_random(mask, seed):
@@ -211,7 +211,7 @@ def prune_global(mask, scores, keep):
 def apply_mask(model, mask):
     """Zero every masked weight in place; idempotent."""
     for name, m in mask.arrays.items():
-        p = model.registry[name].tensor
+        p = model.params[name]
         if m.shape != p.shape:
             raise ShapeError(f"mask shape {m.shape} != param shape {p.shape} for {name!r}")
         p.data *= m

@@ -44,9 +44,9 @@ def _gradcheck_max_rel_err(seed, h=1e-6):
     y = rng.integers(0, 3, 4)
     _, grads, _ = model.loss_and_grads(x, y)
     worst = 0.0
-    for entry in model.registry:
-        flat = entry.tensor.data.ravel()
-        ga = grads[entry.name].ravel()
+    for name, p in model.params.items():
+        flat = p.data.ravel()
+        ga = grads[name].ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -89,7 +89,7 @@ def test_criterion_2_hvp_oracle():
         model = build_model(ModelSpec((6,), 3, hidden=(9,)), seed=6)
         x = rng.standard_normal((12, 6))
         y = rng.integers(0, 3, 12)
-        params = model.params()
+        params = model.params
         v = {name: rng.standard_normal(p.shape) for name, p in params.items()}
 
         def grad_fn():
@@ -133,7 +133,7 @@ class _ClosureObserver:
     def on_step(self, t, epoch, model, optim, mask):
         for name, m in mask.arrays.items():
             dead = m == 0.0
-            assert np.all(model.registry[name].tensor.data[dead] == 0.0)
+            assert np.all(model.params[name].data[dead] == 0.0)
             assert np.all(optim.velocity[name][dead] == 0.0)
         self.steps_checked += 1
 
@@ -189,7 +189,7 @@ def test_criterion_11_layerwise_accounting(schedule_run):
 
         spec = model_spec_for_config(log.config, dataset_for_config(log.config))
         model = build_model(spec, seed=log.config.seed_init)
-        sizes = {e.name: e.tensor.size for e in model.registry.prunable()}
+        sizes = {name: model.params[name].size for name in model.prunable}
         total = sum(sizes.values())
         rows, layer_cols = read_megabatches_csv(str(outdir / "megabatches.csv"))
         assert layer_cols == [f"pruned_{name}" for name in sizes]

@@ -1,9 +1,13 @@
 """Variant mechanics: event order, pi sizes, carryover, and mask trajectories."""
 
 import itertools
+import json
 import logging
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -149,7 +153,7 @@ class _MaskedWeights:
 
     def on_megabatch_end(self, t, model, mask):
         self.largest.append(max(
-            float(np.abs(model.registry[name].tensor.data[m == 0.0]).max(initial=0.0))
+            float(np.abs(model.params[name].data[m == 0.0]).max(initial=0.0))
             for name, m in mask.arrays.items()
         ))
 
@@ -315,7 +319,7 @@ class TestTrainMegabatch:
         )
         assert snap is None and rec is None and records == [] and gi == 0
         for name, arr in before.items():
-            np.testing.assert_array_equal(model.registry[name].tensor.data, arr)
+            np.testing.assert_array_equal(model.params[name].data, arr)
 
     def test_an_epoch_holds_one_gradient_set(self):
         # the prune_wide MLP; the rows are allocated before tracing starts.
@@ -341,7 +345,7 @@ class TestTrainMegabatch:
                 tracemalloc.stop()
         assert peaks[3] - peaks[1] <= 2 ** 18, peaks
         # one whole-model set at a time: the gradients, then the best snapshot
-        model_bytes = sum(e.tensor.data.nbytes for e in model.registry)
+        model_bytes = sum(p.data.nbytes for p in model.params.values())
         assert peaks[3] < 1.25 * model_bytes, (peaks, model_bytes)
 
     def test_a_new_best_frees_the_old_snapshot(self, monkeypatch):
@@ -372,7 +376,7 @@ class TestTrainMegabatch:
             train_megabatch(model, mask, dataset, view, cfg, 1, range(1, 4), optim)
         finally:
             tracemalloc.stop()
-        model_bytes = sum(e.tensor.data.nbytes for e in model.registry)
+        model_bytes = sum(p.data.nbytes for p in model.params.values())
         assert len(held) == 3
         assert max(held) < 1.5 * model_bytes, (held, model_bytes)
 
@@ -451,3 +455,26 @@ class TestDegenerateEquivalence:
         eb = [(r.epoch, r.train_correct, r.val_correct, r.train_loss) for r in b.epochs]
         assert ea == eb
         np.testing.assert_array_equal(a.megabatches[0].predictions, b.megabatches[0].predictions)
+
+
+def test_benchmark_tracer_reads_the_model_and_the_harness(tmp_path):
+    # perfbench/layertrace.py rebinds harness names and reads model.registry
+    # from outside the package; a name it needs that moves breaks here
+    root = pathlib.Path(__file__).parents[1]
+    cfg = tmp_path / "traced.cfg"
+    cfg.write_text(
+        "variant = app_default\npruner = snip\ntau = 2.0\nmegabatches = 2\nepochs = 1\n"
+        "dataset = synthetic_blobs\nblob_classes = 3\nblob_per_class = 20\nblob_dim = 4\n"
+        "mlp_hidden = 6\n"
+    )
+    result = tmp_path / "result.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PERFBENCH_SRC": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "run", str(cfg),
+         str(tmp_path / "out"), str(result), "--trace"],
+        env=env, cwd=root, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    trace = json.loads(result.read_text())["trace"]
+    assert trace["tensor.fc0_w.matmul.fwd_s"] > 0  # a per-parameter label
+    assert trace["pruning.kept_fraction"] < 1

@@ -7,10 +7,12 @@ import multiprocessing
 import os
 import pathlib
 import re
+import shutil
 import struct
 import subprocess
 import sys
 import warnings
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -27,7 +29,14 @@ from anyprune.datasets import (
     split_test,
     write_idx,
 )
-from anyprune.errors import ConfigError, DataError, FormatError, ModelSpecError, NumericError
+from anyprune.errors import (
+    AnypruneError,
+    ConfigError,
+    DataError,
+    FormatError,
+    ModelSpecError,
+    NumericError,
+)
 from anyprune.harness import run
 from anyprune.metrics import summarize
 from anyprune.models import ModelSpec, build_model
@@ -376,10 +385,9 @@ class TestSynthetic:
         ds = gen_blobs(2, 50, 2, 0.1, seed=0, test_per_class=10)
         model = build_model(ModelSpec((2,), 2), seed=0)
         state = OptimState(lr=0.5, momentum=0.9)
-        params = model.params()
         for _ in range(200):
             _, grads, _ = model.loss_and_grads(ds.x, ds.y)
-            sgd_momentum_step(params, grads, state, SparsityMask({}))
+            sgd_momentum_step(model.params, grads, state, SparsityMask({}))
         acc = float((model.predict(ds.x) == ds.y).mean())
         assert acc >= 0.99
 
@@ -575,6 +583,19 @@ class TestReporting:
         assert len(polylines["layer_pruned.svg"]) == len(log.layer_names) == 2
         for name, lines in polylines.items():
             assert all(len(points.split()) >= 2 for points in lines), (name, lines)
+
+    def test_plot_escapes_markup_in_a_column_name(self, small_run_dir, tmp_path):
+        outdir, _ = small_run_dir
+        rundir = tmp_path / "run"
+        shutil.copytree(outdir, rundir)
+        path = rundir / "megabatches.csv"
+        path.write_text(path.read_text().replace("pruned_fc0_w", "pruned_fc0_w<b> & c", 1))
+        assert main(["plot", str(rundir)]) == 0
+        texts = [
+            node.firstChild.data
+            for node in xml.dom.minidom.parse(str(rundir / "layer_pruned.svg")).getElementsByTagName("text")
+        ]
+        assert "fc0_w<b> & c" in texts and "fc1_w" in texts
 
     def test_meta_carries_identity(self, small_run_dir):
         outdir, log = small_run_dir
@@ -1016,3 +1037,77 @@ class TestCli:
         assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "3"]) == 0
         assert pools == [{"max_workers": 2}]
         assert ran == [str(out / "s1"), str(out / "s2")]
+
+
+# a run that reaches every call below in well under 0.1 s
+FAULT_RUN = """
+variant = app_default
+pruner = magnitude
+tau = 2.0
+megabatches = 1
+epochs = 1
+dataset = synthetic_blobs
+blob_classes = 2
+blob_per_class = 10
+blob_dim = 2
+mlp_hidden = 4
+"""
+
+# every name harness.run calls, with the phase a fault there is reported in
+# (None: outside any megabatch), then every reporting writer
+FAULT_SITES = [
+    ("anyprune.harness.dataset_for_config", None),
+    ("anyprune.harness.build_stream", None),
+    ("anyprune.harness.model_spec_for_config", None),
+    ("anyprune.harness.build_model", None),
+    ("anyprune.pruning.SparsityMask.full", None),
+    ("anyprune.harness.make_delta_schedule", None),
+    ("anyprune.harness.config_hash", None),
+    ("anyprune.harness.run_id", None),
+    ("anyprune.harness.MetricsLog", None),
+    ("anyprune.harness.replay_view", "train"),
+    ("anyprune.harness.OptimState", "train"),
+    ("anyprune.harness.train_megabatch", "train"),
+    ("anyprune.harness._prune_step", "prune"),
+    ("anyprune.harness.apply_mask", "prune"),
+    ("anyprune.harness._warn_collapse", "prune"),
+    ("anyprune.models.Model.restore", "train"),
+    ("anyprune.models.Model.predict", "eval"),
+    ("anyprune.harness.error_count", "eval"),
+    ("anyprune.harness.generalization_gap", "eval"),
+    ("anyprune.harness.layer_pruned_fraction", "eval"),
+    ("anyprune.harness.MegabatchRecord", "eval"),
+    ("anyprune.harness.RunEvent", "eval"),
+] + [
+    (f"anyprune.reporting.{name}", None)
+    for name in (
+        "write_curves_csv", "write_megabatches_csv", "write_predictions_csv",
+        "write_events_csv", "write_summary_json", "emit_svg_from_dir",
+    )
+]
+
+
+@pytest.mark.parametrize("fault", [AnypruneError, MemoryError, RuntimeError])
+@pytest.mark.parametrize("site, phase", FAULT_SITES, ids=[s.rsplit(".", 1)[1] for s, _ in FAULT_SITES])
+def test_fault_anywhere_in_a_run_exits_2_with_one_line_and_no_run_dir(
+    tmp_path, capsys, monkeypatch, site, phase, fault
+):
+    cfg = tmp_path / "fault.cfg"
+    cfg.write_text(FAULT_RUN)
+
+    def fail(*args, **kwargs):
+        raise fault("injected")
+
+    monkeypatch.setattr(site, fail)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert os.listdir(tmp_path) == ["fault.cfg"]  # no run directory, no temporary one
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if fault is AnypruneError:
+        where = f"megabatch 1, {phase}: " if phase else ""
+        assert captured.err.splitlines() == [f"error: {where}injected"]
+    elif fault is MemoryError:
+        assert captured.err.splitlines() == ["error: out of memory: injected"]
+    else:  # an unexpected exception prints its traceback before the line
+        assert captured.err.startswith("Traceback (most recent call last):\n")
+        assert captured.err.endswith("\nRuntimeError: injected\nerror: RuntimeError: injected\n")

@@ -1,4 +1,4 @@
-"""Model construction, registry bookkeeping, and forward-pass contracts."""
+"""Model construction, parameter bookkeeping, and forward-pass contracts."""
 
 import tracemalloc
 
@@ -14,20 +14,22 @@ from anyprune.tensor import softmax_cross_entropy
 
 def test_registry_prunable_flags_and_counts():
     model = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=0)
-    weights = [e for e in model.registry if e.prunable]
-    biases = [e for e in model.registry if not e.prunable]
-    assert [e.name for e in weights] == ["fc0_w", "fc1_w"]
-    assert [e.name for e in biases] == ["fc0_b", "fc1_b"]
+    assert list(model.params) == ["fc0_w", "fc0_b", "fc1_w", "fc1_b"]
+    assert model.prunable == ("fc0_w", "fc1_w")
     assert SparsityMask.full(model).size == 4 * 8 + 8 * 3
+    # the tracer's read-only view lists the same names, tensors (by identity) and flags
+    assert [(e.name, e.tensor, e.prunable) for e in model.registry] == [
+        (name, p, name in model.prunable) for name, p in model.params.items()
+    ]
 
 
 def test_build_determinism():
     a = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=5)
     b = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=5)
-    for ea, eb in zip(a.registry, b.registry):
-        assert ea.name == eb.name
-        assert ea.prunable == eb.prunable
-        np.testing.assert_array_equal(ea.tensor.data, eb.tensor.data)
+    assert list(a.params) == list(b.params)
+    assert a.prunable == b.prunable
+    for name, p in a.params.items():
+        np.testing.assert_array_equal(p.data, b.params[name].data)
 
 
 def test_spec_dim_mismatch():
@@ -37,18 +39,17 @@ def test_spec_dim_mismatch():
 
 def test_zero_weights_forward_gives_bias():
     model = build_model(ModelSpec((3,), 2, hidden=(4,)), seed=0)
-    for e in model.registry:
-        if e.prunable:
-            e.tensor.data[:] = 0.0
-    model.registry["fc1_b"].tensor.data[:] = [0.25, -0.5]
+    for name in model.prunable:
+        model.params[name].data[:] = 0.0
+    model.params["fc1_b"].data[:] = [0.25, -0.5]
     logits = model.forward(np.zeros((5, 3)))
     np.testing.assert_array_equal(logits.data, np.tile([0.25, -0.5], (5, 1)))
 
 
 def test_identity_mlp_passes_positive_inputs():
     model = build_model(ModelSpec((2,), 2), seed=0)
-    model.registry["fc0_w"].tensor.data[:] = np.eye(2)
-    model.registry["fc0_b"].tensor.data[:] = 0.0
+    model.params["fc0_w"].data[:] = np.eye(2)
+    model.params["fc0_b"].data[:] = 0.0
     x = np.array([[0.5, 2.0], [1.0, 3.0]])
     np.testing.assert_array_equal(model.forward(x).data, x)
 
@@ -69,15 +70,15 @@ def test_forward_does_not_mutate_params():
     before = model.snapshot()
     model.forward(np.random.default_rng(0).standard_normal((6, 4)))
     for name, arr in before.items():
-        np.testing.assert_array_equal(model.registry[name].tensor.data, arr)
+        np.testing.assert_array_equal(model.params[name].data, arr)
 
 
 def test_restore_takes_the_snapshot_arrays():
     model = build_model(ModelSpec((4,), 3, hidden=(8,)), seed=1)
     snap = model.snapshot()
     model.restore(snap)
-    for e in model.registry:
-        assert e.tensor.data is snap[e.name], e.name
+    for name, p in model.params.items():
+        assert p.data is snap[name], name
 
 
 def test_all_ones_mask_preserves_logits():
@@ -96,32 +97,30 @@ def test_loss_and_grads_returns_loss_grads_and_forward_logits():
     loss, grads, logits = model.loss_and_grads(x, y)
     np.testing.assert_array_equal(logits, model.forward(x).data)
     assert loss == float(softmax_cross_entropy(model.forward(x), y).data)
-    assert list(grads) == [e.name for e in model.registry]
-    for e in model.registry:
-        assert grads[e.name].shape == e.tensor.shape
+    assert list(grads) == list(model.params)
+    for name, p in model.params.items():
+        assert grads[name].shape == p.shape
 
 
 def test_convnet_registry_and_forward():
     spec = ModelSpec((1, 8, 8), 3, hidden=(10,), conv_stack=((4, 3, 1, 1), (6, 3, 1, 1)))
     model = build_model(spec, seed=0)
-    names = [e.name for e in model.registry]
-    assert names == [
+    assert list(model.params) == [
         "conv0_w", "conv0_b", "conv1_w", "conv1_b",
         "fc0_w", "fc0_b", "fc1_w", "fc1_b",
     ]
     assert spec.flat_dim() == 6 * 2 * 2
     logits = model.forward(np.random.default_rng(0).standard_normal((2, 64)))
     assert logits.shape == (2, 3)
-    prunable = {e.name for e in model.registry.prunable()}
-    assert prunable == {"conv0_w", "conv1_w", "fc0_w", "fc1_w"}
+    assert model.prunable == ("conv0_w", "conv1_w", "fc0_w", "fc1_w")
 
 
 def _channel_first_features(model, x):
     """The conv stack's last pooled map [B, C, H, W], by direct channel-first loops."""
     h = x.reshape(x.shape[0], *model.spec.input_shape)
     for i, (_, k, stride, pad) in enumerate(model.spec.conv_stack):
-        w = model.registry[f"conv{i}_w"].tensor.data
-        b = model.registry[f"conv{i}_b"].tensor.data
+        w = model.params[f"conv{i}_w"].data
+        b = model.params[f"conv{i}_b"].data
         hp = np.pad(h, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         ho, wo = (hp.shape[2] - k) // stride + 1, (hp.shape[3] - k) // stride + 1
         out = np.empty((h.shape[0], w.shape[0], ho, wo))
@@ -141,7 +140,7 @@ def test_convnet_flatten_hands_fc0_channel_last_features(monkeypatch):
     model = build_model(spec, seed=4)
     rng = np.random.default_rng(6)
     for i in range(2):
-        model.registry[f"conv{i}_b"].tensor.data[:] = rng.standard_normal(3 + i)
+        model.params[f"conv{i}_b"].data[:] = rng.standard_normal(3 + i)
     x = rng.standard_normal((3, 2 * 9 * 8))
     fc_inputs = []
     real = T.matmul
@@ -171,8 +170,8 @@ def test_convnet_kernel_larger_than_its_padded_map_names_the_layer():
 
 def test_predict_tie_breaks_to_smaller_class():
     model = build_model(ModelSpec((2,), 3), seed=0)
-    model.registry["fc0_w"].tensor.data[:] = 0.0
-    model.registry["fc0_b"].tensor.data[:] = 0.0
+    model.params["fc0_w"].data[:] = 0.0
+    model.params["fc0_b"].data[:] = 0.0
     preds = model.predict(np.ones((4, 2)))
     np.testing.assert_array_equal(preds, np.zeros(4, dtype=np.int64))
 

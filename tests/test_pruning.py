@@ -9,7 +9,7 @@ import pytest
 from anyprune.errors import DataError, NumericError, ParameterError, RefinementError
 from anyprune.harness import evaluate
 from anyprune.kernels import BLOCK_IMAGES
-from anyprune.models import ModelSpec, ParamRegistry, build_model
+from anyprune.models import ModelSpec, build_model
 from anyprune.pruning import (
     SCORE_CHUNK,
     SparsityMask,
@@ -84,11 +84,11 @@ class _LinearSquaredModel(_MLPSlices):
     """pred = w . x with loss 0.5 * mean (pred - y)^2; analytic gradients."""
 
     def __init__(self, w):
-        self.registry = ParamRegistry()
-        self.registry.add("w", Tensor(w), True)
+        self.params = {"w": Tensor(w)}
+        self.prunable = ("w",)
 
     def loss_and_grads(self, x, y):
-        w = self.registry["w"].tensor.data
+        w = self.params["w"].data
         resid = x @ w - y
         loss = 0.5 * float(np.mean(resid ** 2))
         return loss, {"w": (x * resid[:, None]).mean(axis=0)}, x @ w
@@ -122,9 +122,9 @@ class TestSnip:
         before = model.snapshot()
         mean = _mean_grads(model, x, y)
         got = score_snip(model, x, y)
-        assert list(got) == [e.name for e in model.registry.prunable()]
-        for e in model.registry:
-            assert e.tensor.data.tobytes() == before[e.name].tobytes(), e.name
+        assert list(got) == list(model.prunable)
+        for name, p in model.params.items():
+            assert p.data.tobytes() == before[name].tobytes(), name
         for name, s in got.items():
             assert s.tobytes() == np.abs(mean[name] * before[name]).tobytes(), name
 
@@ -140,15 +140,12 @@ class _QuadraticModel(_MLPSlices):
     """L(w) = 0.5 * w' diag(d) w with the analytic gradient diag(d) w."""
 
     def __init__(self, w, diag):
-        self.registry = ParamRegistry()
-        self.registry.add("w", Tensor(w), True)
+        self.params = {"w": Tensor(w)}
+        self.prunable = ("w",)
         self._diag = np.asarray(diag, dtype=np.float64)
 
-    def params(self):
-        return {"w": self.registry["w"].tensor}
-
     def loss_and_grads(self, x, y):
-        w = self.registry["w"].tensor.data
+        w = self.params["w"].data
         return 0.5 * float(np.sum(self._diag * w * w)), {"w": self._diag * w}, None
 
 
@@ -183,7 +180,7 @@ class TestGrasp:
         before = model.snapshot()
         score_grasp(model, mask, rng.standard_normal((9, 5)), rng.integers(0, 3, 9))
         for name, arr in before.items():
-            assert np.array_equal(model.registry[name].tensor.data, arr)
+            assert np.array_equal(model.params[name].data, arr)
 
     def test_selection_orientation_negates(self):
         model = _QuadraticModel([1.0, 1.0], [2.0, 4.0])
@@ -232,7 +229,7 @@ class TestChunkedScoring:
         model, x, y = _scoring_case(ModelSpec((12,), 4, hidden=(32, 16)), 3 * SCORE_CHUNK + 17, seed=8)
         mask = SparsityMask.full(model)
         grads = model.loss_and_grads(x, y)[1]
-        whole = {e.name: np.abs(grads[e.name] * e.tensor.data) for e in model.registry.prunable()}
+        whole = {name: np.abs(grads[name] * model.params[name].data) for name in model.prunable}
         chunked = selection_scores("snip", model, mask, x, y)
         for keep in (mask.kept_count // 2, keep_count(4.5, mask.kept_count)):
             want = prune_global(mask, whole, keep)
@@ -448,7 +445,7 @@ class TestPruneGlobal:
         np.testing.assert_array_equal(new.arrays["b"], [0.0, 0.0, 0.0])
 
     def test_tie_run_across_a_tensor_boundary_keeps_the_earlier_tensor(self):
-        # registry order, not name order: "z" comes first
+        # mask order, not name order: "z" comes first
         mask = SparsityMask({"z": np.ones(3), "a": np.ones(3)})
         scores = {"z": np.array([5.0, 2.0, 2.0]), "a": np.array([2.0, 2.0, 1.0])}
         new = prune_global(mask, scores, keep=4)
@@ -531,24 +528,24 @@ class TestApplyMaskAndLayerStats:
         mask = SparsityMask.full(model)
         apply_mask(model, mask)
         for name, arr in before.items():
-            np.testing.assert_array_equal(model.registry[name].tensor.data, arr)
+            np.testing.assert_array_equal(model.params[name].data, arr)
         rng = np.random.default_rng(0)
         mask = SparsityMask({
-            e.name: (rng.random(e.tensor.shape) < 0.5).astype(float)
-            for e in model.registry.prunable()
+            name: (rng.random(model.params[name].shape) < 0.5).astype(float)
+            for name in model.prunable
         })
         apply_mask(model, mask)
         once = model.snapshot()
         apply_mask(model, mask)
         for name, arr in once.items():
-            np.testing.assert_array_equal(model.registry[name].tensor.data, arr)
+            np.testing.assert_array_equal(model.params[name].data, arr)
 
     def test_single_survivor(self):
         model = build_model(ModelSpec((3,), 2), seed=0)
         arr = np.zeros((3, 2))
         arr[1, 0] = 1.0
         apply_mask(model, SparsityMask({"fc0_w": arr}))
-        w = model.registry["fc0_w"].tensor.data
+        w = model.params["fc0_w"].data
         assert np.count_nonzero(w) == 1
 
     def test_layer_fractions_partition(self):
@@ -557,14 +554,14 @@ class TestApplyMaskAndLayerStats:
         assert all(frac == 0.0 for _, frac in layer_pruned_fraction(full))
         rng = np.random.default_rng(1)
         mask = SparsityMask({
-            e.name: (rng.random(e.tensor.shape) < 0.6).astype(float)
-            for e in model.registry.prunable()
+            name: (rng.random(model.params[name].shape) < 0.6).astype(float)
+            for name in model.prunable
         })
         rows = layer_pruned_fraction(mask)
-        total = sum(e.tensor.size for e in model.registry.prunable())
+        total = sum(model.params[name].size for name in model.prunable)
         pruned_by_layer = 0
         for name, frac in rows:
-            size = model.registry[name].tensor.size
+            size = model.params[name].size
             count = round(frac * size)
             assert count == size - int(mask.arrays[name].sum())
             pruned_by_layer += count

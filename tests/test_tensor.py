@@ -165,7 +165,7 @@ class TestBackward:
         refs = {name: weakref.ref(g) for name, g in grads.items()}
         del grads
         assert [name for name, r in refs.items() if r() is not None] == []
-        assert not any(hasattr(e.tensor, "grad") for e in model.registry)
+        assert not any(hasattr(p, "grad") for p in model.params.values())
 
     def test_gradients_match_finite_differences(self):
         # spot-check a couple of seeds here; the acceptance suite runs twenty
@@ -180,9 +180,9 @@ def _mlp_gradcheck_max_rel_err(seed, hidden=(8,), d=5, c=3, batch=4, h=1e-6):
     y = rng.integers(0, c, batch)
     _, grads, _ = model.loss_and_grads(x, y)
     worst = 0.0
-    for entry in model.registry:
-        flat = entry.tensor.data.ravel()
-        ga = grads[entry.name].ravel()
+    for name, p in model.params.items():
+        flat = p.data.ravel()
+        ga = grads[name].ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -316,7 +316,7 @@ class TestHvp:
         model = build_model(ModelSpec((6,), 3, hidden=(8,)), seed=4)
         x = rng.standard_normal((10, 6))
         y = rng.integers(0, 3, 10)
-        params = model.params()
+        params = model.params
         v = {name: rng.standard_normal(p.shape) for name, p in params.items()}
 
         def grad_fn():
@@ -453,9 +453,9 @@ class TestSgdMomentumStep:
     def test_partly_pruned_step_allocates_no_model_sized_buffer(self):
         # the prune_wide MLP; the gradients are allocated before tracing starts
         model = build_model(ModelSpec((196,), 10, hidden=(1024, 512)), seed=0)
-        params = model.params()
+        params = model.params
         rng = np.random.default_rng(9)
-        mask = SparsityMask({e.name: rng.random(e.tensor.shape) < 0.5 for e in model.registry.prunable()})
+        mask = SparsityMask({name: rng.random(params[name].shape) < 0.5 for name in model.prunable})
         state = OptimState(lr=0.05, momentum=0.9)
 
         def fresh_grads():
