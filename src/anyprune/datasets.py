@@ -1,7 +1,7 @@
 """Dataset ingestion and synthetic generators.
 
-A :class:`Dataset` bundles a training pool with a held-out test set; features
-are stored flat as [N, d] float64 with the original image shape retained for
+A :class:`Dataset` bundles a training pool with a held-out test set and counts
+its own classes; features are [N, d] float64 with the image shape kept for
 convolutional models. Sources: IDX binary files (big-endian, ubyte), CSV with a
 header, and two seeded synthetic families (Gaussian blobs, spirals). A small
 digit-glyph generator exists for producing self-contained IDX fixtures.
@@ -11,7 +11,7 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .rng import (
     STREAM_SPIRALS,
     STREAM_TEST_SPLIT,
     rng_from,
+    round_half_up,
 )
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -31,17 +32,20 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
+    """Train and test splits; ``class_count`` is the largest label in either split plus one."""
+
     x: np.ndarray
     y: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
     input_shape: tuple
-    class_count: int
+    class_count: int = field(init=False)
 
     def __post_init__(self):
-        for y in (self.y, self.y_test):
-            if y.size and (y.min() < 0 or y.max() >= self.class_count):
-                raise DataError(f"labels outside [0, {self.class_count})")
+        labels = [y for y in (self.y, self.y_test) if y.size]
+        if any(y.min() < 0 for y in labels):
+            raise DataError("labels must be >= 0")
+        self.class_count = max((int(y.max()) + 1 for y in labels), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -57,50 +61,41 @@ def blob_centers(class_count, dim):
     return 3.0 * raw / norms
 
 
-def _blob_draw(class_count, per_class, dim, noise_sigma, stream, seed):
-    centers = blob_centers(class_count, dim)
-    xs, ys = [], []
-    for c in range(class_count):
-        g = rng_from(stream, seed, c)
-        xs.append(centers[c] + noise_sigma * g.standard_normal((per_class, dim)))
-        ys.append(np.full(per_class, c, dtype=np.int64))
-    return np.concatenate(xs), np.concatenate(ys)
+def _draw_classes(stream, seed, class_count, per_class, draw):
+    """Stacked rows and int64 labels; class c's rows come from its own ``rng_from(stream, seed, c)``."""
+    x = np.concatenate([draw(rng_from(stream, seed, c), c, per_class) for c in range(class_count)])
+    return x, np.repeat(np.arange(class_count, dtype=np.int64), per_class)
+
+
+def _synthetic(stream, seed, class_count, per_class, test_per_class, input_shape, draw):
+    """A Dataset whose training rows are keyed by ``seed`` and test rows by ``seed + 1``."""
+    if class_count < 2:
+        raise DataError(f"need at least 2 classes, got {class_count}")
+    if per_class < 1:
+        raise DataError(f"per_class must be >= 1, got {per_class}")
+    x, y = _draw_classes(stream, seed, class_count, per_class, draw)
+    xt, yt = _draw_classes(stream, seed + 1, class_count, test_per_class, draw)
+    return Dataset(x, y, xt, yt, input_shape)
 
 
 def gen_blobs(class_count, per_class, dim, noise_sigma, seed, test_per_class):
     """Isotropic Gaussian blobs around fixed per-class centers."""
-    if class_count < 2:
-        raise DataError(f"need at least 2 classes, got {class_count}")
-    if per_class < 1:
-        raise DataError(f"per_class must be >= 1, got {per_class}")
-    x, y = _blob_draw(class_count, per_class, dim, noise_sigma, STREAM_BLOBS, seed)
-    xt, yt = _blob_draw(class_count, test_per_class, dim, noise_sigma, STREAM_BLOBS, seed + 1)
-    return Dataset(x, y, xt, yt, input_shape=(dim,), class_count=class_count)
+    def draw(g, c, n):  # the centers are redrawn per class so a bad count fails the check first
+        return blob_centers(class_count, dim)[c] + noise_sigma * g.standard_normal((n, dim))
 
-
-def _spiral_draw(class_count, per_class, noise_sigma, stream, seed):
-    xs, ys = [], []
-    for c in range(class_count):
-        g = rng_from(stream, seed, c)
-        t = np.sort(g.random(per_class))
-        radius = 0.3 + 2.7 * t
-        angle = 2.0 * np.pi * (c / class_count + 1.25 * t)
-        pts = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-        pts += noise_sigma * g.standard_normal((per_class, 2))
-        xs.append(pts)
-        ys.append(np.full(per_class, c, dtype=np.int64))
-    return np.concatenate(xs), np.concatenate(ys)
+    return _synthetic(STREAM_BLOBS, seed, class_count, per_class, test_per_class, (dim,), draw)
 
 
 def gen_spirals(class_count, per_class, noise_sigma, seed, test_per_class):
     """Interleaved planar spirals, one arm per class."""
-    if class_count < 2:
-        raise DataError(f"need at least 2 classes, got {class_count}")
-    if per_class < 1:
-        raise DataError(f"per_class must be >= 1, got {per_class}")
-    x, y = _spiral_draw(class_count, per_class, noise_sigma, STREAM_SPIRALS, seed)
-    xt, yt = _spiral_draw(class_count, test_per_class, noise_sigma, STREAM_SPIRALS, seed + 1)
-    return Dataset(x, y, xt, yt, input_shape=(2,), class_count=class_count)
+    def draw(g, c, n):
+        t = np.sort(g.random(n))
+        radius = 0.3 + 2.7 * t
+        angle = 2.0 * np.pi * (c / class_count + 1.25 * t)
+        pts = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+        return pts + noise_sigma * g.standard_normal((n, 2))
+
+    return _synthetic(STREAM_SPIRALS, seed, class_count, per_class, test_per_class, (2,), draw)
 
 
 # 5x7 glyph rows for digits 0-9; '#' marks an on pixel.
@@ -117,8 +112,11 @@ _GLYPHS = [
     ["#####", "#...#", "#...#", "#####", "....#", "....#", "#####"],
 ]
 
+_DIGIT_NOISE = 0.08  # amplitude of the uniform noise added to every pixel
+_DIGIT_SHIFT = 2  # largest shift of a glyph along each axis, in pixels
 
-def gen_digits(per_class, seed, side=14, noise=0.08, max_shift=2, label_noise=0.0):
+
+def gen_digits(per_class, seed, side=14, label_noise=0.0):
     """Noisy shifted renderings of ten digit glyphs as [N, side*side] in [0, 1].
 
     ``label_noise`` resamples that fraction of labels uniformly at random; the
@@ -126,25 +124,25 @@ def gen_digits(per_class, seed, side=14, noise=0.08, max_shift=2, label_noise=0.
     real train/validation gap.
     """
     base = np.zeros((10, side, side))
-    scale_r = max(1, (side - 2 * max_shift) // 7)
-    scale_c = max(1, (side - 2 * max_shift) // 5)
+    scale_r = max(1, (side - 2 * _DIGIT_SHIFT) // 7)
+    scale_c = max(1, (side - 2 * _DIGIT_SHIFT) // 5)
     for d, rows in enumerate(_GLYPHS):
         glyph = np.array([[1.0 if ch == "#" else 0.0 for ch in row] for row in rows])
         up = np.kron(glyph, np.ones((scale_r, scale_c)))
         r0 = (side - up.shape[0]) // 2
         c0 = (side - up.shape[1]) // 2
         base[d, r0 : r0 + up.shape[0], c0 : c0 + up.shape[1]] = up
-    xs, ys = [], []
-    for d in range(10):
-        g = rng_from(STREAM_DIGITS, seed, d)
-        for _ in range(per_class):
-            dr, dc = g.integers(-max_shift, max_shift + 1, size=2)
+
+    def draw(g, d, n):
+        x = np.empty((n, side * side))
+        for row in x:
+            dr, dc = g.integers(-_DIGIT_SHIFT, _DIGIT_SHIFT + 1, size=2)
             img = np.roll(np.roll(base[d], dr, axis=0), dc, axis=1)
-            img = img * g.uniform(0.7, 1.0) + noise * g.random((side, side))
-            xs.append(np.clip(img, 0.0, 1.0).ravel())
-            ys.append(d)
-    x = np.asarray(xs)
-    y = np.asarray(ys, dtype=np.int64)
+            img = img * g.uniform(0.7, 1.0) + _DIGIT_NOISE * g.random((side, side))
+            row[:] = np.clip(img, 0.0, 1.0).ravel()
+        return x
+
+    x, y = _draw_classes(STREAM_DIGITS, seed, 10, per_class, draw)
     if label_noise > 0.0:
         g = rng_from(STREAM_DIGITS, seed, 9999)
         flips = g.random(y.size) < label_noise
@@ -258,9 +256,9 @@ def load_csv(path, label_column):
 
 
 def split_test(x, y, test_fraction, seed):
-    """Seeded disjoint train/test split by fraction."""
+    """Seeded disjoint train/test split by fraction; half a test row rounds up."""
     n = x.shape[0]
-    n_test = int(round(test_fraction * n))
+    n_test = round_half_up(test_fraction * n)
     if n_test < 1 or n_test >= n:
         raise DataError(f"test fraction {test_fraction} leaves an empty split for n={n}")
     perm = rng_from(STREAM_TEST_SPLIT, seed).permutation(n)

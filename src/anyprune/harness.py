@@ -199,8 +199,7 @@ def dataset_for_config(config):
         x, y = load_csv(config.csv_path, config.csv_label_column)
         x, y, xt, yt = split_test(x, y, config.test_fraction, config.seed_partition)
         shape = (x.shape[1],)
-    classes = int(max(y.max(), yt.max())) + 1
-    return Dataset(x, y, xt, yt, input_shape=shape, class_count=classes)
+    return Dataset(x, y, xt, yt, input_shape=shape)
 
 
 def model_spec_for_config(config, dataset):
@@ -274,11 +273,8 @@ def run(config, observer=None):
     mask = SparsityMask.full(model)
     # deltas: the exponents of the megabatches that prune, in stream order;
     # at: the epochs each megabatch trains before its prune step
-    deltas = ()
-    if config.variant == "anytime_osp":
-        deltas = (config.tau,)
-    elif config.variant != "baseline":
-        deltas = make_delta_schedule(config.tau, config.megabatches)
+    steps = 1 if config.variant == "anytime_osp" else config.megabatches
+    deltas = make_delta_schedule(config.tau, steps) if config.variant != "baseline" else ()
     at = 0
     if config.variant == "app_final":
         at = config.epochs
@@ -323,9 +319,7 @@ def run(config, observer=None):
                 if observer is not None and hasattr(observer, "on_prune"):
                     observer.on_prune(t, mask, new_mask)
                 mask = new_mask
-                apply_mask(model, mask)
-                for name in mask.arrays.keys() & optim.velocity.keys():  # momentum exists once stepped
-                    optim.velocity[name] *= mask.arrays[name]
+                apply_mask(model, mask)  # the next step zeroes the pruned momentum
                 _warn_collapse(t, mask)
                 events.append(("prune", detail))
             del snap  # restored above, or a warmup's best that nothing reads

@@ -327,7 +327,7 @@ class TestTrainMegabatch:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((104, 196))
         y = rng.integers(0, 10, 104)
-        dataset = Dataset(x, y, x[:1], y[:1], input_shape=(196,), class_count=10)
+        dataset = Dataset(x, y, x[:1], y[:1], input_shape=(196,))
         model = build_model(ModelSpec((196,), 10, hidden=(1024, 512)), seed=0)
         mask = SparsityMask.full(model)
         cfg = _cfg(minibatch=32)
@@ -354,7 +354,7 @@ class TestTrainMegabatch:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((40, 196))
         y = rng.integers(0, 10, 40)
-        dataset = Dataset(x, y, x[:1], y[:1], input_shape=(196,), class_count=10)
+        dataset = Dataset(x, y, x[:1], y[:1], input_shape=(196,))
         model = build_model(ModelSpec((196,), 10, hidden=(1024, 512)), seed=0)
         mask = SparsityMask.full(model)
         cfg = _cfg(minibatch=32, epochs=3)

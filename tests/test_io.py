@@ -21,6 +21,8 @@ import anyprune
 from anyprune.cli import main
 from anyprune.config import RunConfig, config_hash, parse_config, resolved_text
 from anyprune.datasets import (
+    Dataset,
+    blob_centers,
     gen_blobs,
     gen_digits,
     gen_spirals,
@@ -48,6 +50,7 @@ from anyprune.reporting import (
     write_run_dir,
     write_summary_json,
 )
+from anyprune.rng import STREAM_BLOBS, rng_from
 
 MINIMAL = """
 variant = app_default
@@ -398,6 +401,24 @@ class TestSynthetic:
         b = gen_spirals(3, 40, 0.05, seed=2, test_per_class=8)
         np.testing.assert_array_equal(a.x, b.x)
 
+    def test_each_class_is_drawn_from_its_own_keyed_stream(self):
+        # training rows are keyed by the seed, test rows by seed + 1
+        ds = gen_blobs(3, 20, 4, 0.3, seed=5, test_per_class=4)
+        centers = blob_centers(3, 4)
+        for x, y, seed, n in ((ds.x, ds.y, 5, 20), (ds.x_test, ds.y_test, 6, 4)):
+            assert y.dtype == np.int64
+            np.testing.assert_array_equal(y, np.repeat(np.arange(3), n))
+            for c in range(3):
+                rows = centers[c] + 0.3 * rng_from(STREAM_BLOBS, seed, c).standard_normal((n, 4))
+                np.testing.assert_array_equal(x[y == c], rows)
+
+    def test_a_dataset_counts_its_own_classes(self):
+        x = np.zeros((3, 2))
+        ds = Dataset(x, np.array([0, 4, 1]), x[:2], np.array([6, 0]), input_shape=(2,))
+        assert ds.class_count == 7  # the largest label in either split, plus one
+        with pytest.raises(DataError, match="^labels must be >= 0$"):
+            Dataset(x, np.array([0, 4, 1]), x[:2], np.array([-1, 0]), input_shape=(2,))
+
 
 class TestCsv:
     def test_parse_and_errors(self, tmp_path):
@@ -437,6 +458,13 @@ class TestCsv:
         np.testing.assert_array_equal(y_test, x_test[:, 0].astype(int) % 3)
         np.testing.assert_array_equal(split_test(x, y, 0.2, seed=4)[2], x_test)
         assert not np.array_equal(split_test(x, y, 0.2, seed=5)[2], x_test)
+
+    @pytest.mark.parametrize("fraction, n, n_test", [(0.25, 10, 3), (0.3, 15, 5), (0.1, 5, 1)])
+    def test_split_test_rounds_half_a_row_up(self, fraction, n, n_test):
+        # as every other count in the package does (rng.round_half_up)
+        x = np.arange(float(n)).reshape(n, 1)
+        x_train, _, x_test, _ = split_test(x, np.zeros(n, dtype=np.int64), fraction, seed=0)
+        assert (x_train.shape[0], x_test.shape[0]) == (n - n_test, n_test)
 
     def test_cli_run_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -1111,3 +1139,48 @@ def test_fault_anywhere_in_a_run_exits_2_with_one_line_and_no_run_dir(
     else:  # an unexpected exception prints its traceback before the line
         assert captured.err.startswith("Traceback (most recent call last):\n")
         assert captured.err.endswith("\nRuntimeError: injected\nerror: RuntimeError: injected\n")
+
+
+@pytest.mark.parametrize("fault", [AnypruneError, MemoryError, RuntimeError])
+@pytest.mark.parametrize("site, phase", FAULT_SITES, ids=[s.rsplit(".", 1)[1] for s, _ in FAULT_SITES])
+def test_fault_anywhere_in_a_sweep_reports_the_config_failed_and_leaves_no_dir(
+    tmp_path, capsys, monkeypatch, site, phase, fault
+):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    cfg = cfg_dir / "fault.cfg"
+    cfg.write_text(FAULT_RUN)
+
+    def fail(*args, **kwargs):
+        raise fault("injected")
+
+    monkeypatch.setattr(site, fail)
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "1"]) == 2
+    assert list(out.rglob("*")) == []  # no run directory, no temporary one
+    if fault is AnypruneError:
+        line = f"megabatch 1, {phase}: injected" if phase else "injected"
+    elif fault is MemoryError:
+        line = "out of memory: injected"
+    else:
+        line = "RuntimeError: injected"
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "sweep: 0 of 1 configs finished",
+        f"failed  {cfg}: {line}",
+    ]
+
+
+def test_importing_the_cli_loads_no_network_or_mail_module():
+    # one such stdlib import once raised every run's peak RSS by about 3.4 MiB
+    pkg_root = os.path.dirname(os.path.dirname(anyprune.__file__))
+    pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, anyprune.cli\n"
+        "print([m for m in ('urllib.request', 'http.client', 'email') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

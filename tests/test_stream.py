@@ -16,7 +16,7 @@ def _toy_dataset(n, classes=5, dim=3, seed=0):
     y = np.arange(n, dtype=np.int64) % classes
     xt = rng.standard_normal((10, dim))
     yt = np.arange(10, dtype=np.int64) % classes
-    return Dataset(x, y, xt, yt, input_shape=(dim,), class_count=classes)
+    return Dataset(x, y, xt, yt, input_shape=(dim,))
 
 
 class TestBuildStream:
