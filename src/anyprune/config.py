@@ -235,9 +235,10 @@ def parse_config(source, seed_override=None):
     return RunConfig(**resolved)
 
 
-def _format_value(v):
+def format_value(v):
+    """A config echo value or CSV cell as text: floats (numpy's too) round-trip."""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     if isinstance(v, tuple):
         return ",".join(str(i) for i in v)
     return str(v)
@@ -250,7 +251,7 @@ def resolved_text(cfg):
         v = getattr(cfg, f.name)
         if v is None:
             continue
-        lines.append(f"{f.name} = {_format_value(v)}")
+        lines.append(f"{f.name} = {format_value(v)}")
     return "\n".join(lines) + "\n"
 
 

@@ -89,7 +89,6 @@ class MetricsLog:
     config_hash: str
     run_id: str
     prunable_total: int
-    class_count: int
     layer_names: list
     test_labels: np.ndarray
     epochs: list = field(default_factory=list)
@@ -101,9 +100,12 @@ class MetricsLog:
 def lr_at(config, t, epoch):
     """Learning rate for (megabatch t, epoch) under the configured regime.
 
-    The multistep shape decays by lr_gamma at floor(0.5k) and floor(0.75k);
-    multistep_m1_only applies it to the first megabatch and then holds
-    post_m1_lr, while cyclic_every_mt restarts the shape at every megabatch.
+    The multistep shape over k = epochs multiplies lr0 by lr_gamma from
+    1-based epoch floor(0.5k) on, and by lr_gamma again from floor(0.75k) on.
+    So k = 20 trains 9 epochs at lr0, 5 at lr0*lr_gamma and 6 at
+    lr0*lr_gamma**2, and k <= 3 never trains at lr0. multistep_m1_only
+    applies the shape to megabatch 1 and holds post_m1_lr from megabatch 2
+    on; cyclic_every_mt restarts the shape at every megabatch.
     """
     if not 1 <= epoch <= config.epochs:
         raise IndexError(f"epoch {epoch} outside 1..{config.epochs}")
@@ -122,6 +124,10 @@ def evaluate(model, x, y):
     """Exact counts plus mean loss on a labelled set, deterministically."""
     preds, loss_sum = model.sliced_forward(x, y)
     return int((preds == y).sum()), x.shape[0], loss_sum / x.shape[0]
+
+
+def _no_hook(*args):
+    """Stands in for each observer hook that the observer does not define."""
 
 
 def _check_loss(kind, loss, epoch, global_iter):
@@ -159,8 +165,7 @@ def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global
             del grads  # used up by the step; the next backward builds a new set
             correct += int((np.argmax(logits, axis=1) == yb).sum())
             loss_sum += step_loss * yb.size
-            if observer is not None and hasattr(observer, "on_step"):
-                observer.on_step(t, epoch, model, optim, mask)
+            getattr(observer, "on_step", _no_hook)(t, epoch, model, optim, mask)
         with np.errstate(over="ignore", invalid="ignore"):
             val_correct, val_total, val_loss = evaluate(
                 model, dataset.x[view.val_idx], dataset.y[view.val_idx]
@@ -230,7 +235,8 @@ def _prune_step(config, dataset, stream, view, model, mask, t, delta):
                 f"{source.train_idx.size} training samples is an empty scoring set"
             )
         x, y = dataset.x[pi_idx], dataset.y[pi_idx]
-    scores = selection_scores(config.pruner, model, mask, x, y, (config.seed_pruning, t))
+    with np.errstate(over="ignore", invalid="ignore"):  # a kept weight's NaN score raises
+        scores = selection_scores(config.pruner, model, mask, x, y, (config.seed_pruning, t))
     keep = keep_count(delta, mask.size)
     new_mask = prune_global(mask, scores, keep)
     detail = {
@@ -254,7 +260,7 @@ def _warn_collapse(t, mask):
 def run(config, observer=None):
     """Execute one configured run over the whole stream; returns the MetricsLog.
 
-    ``observer`` may define any of four hooks, each called only if present:
+    ``observer`` may define any of four hooks; a hook it lacks is a no-op:
     ``on_megabatch_start(t, model, mask)``, ``on_step(t, epoch, model, optim,
     mask)`` after every optimizer step, ``on_prune(t, old_mask, new_mask)``
     before the new mask reaches the weights, and ``on_megabatch_end(t, model,
@@ -289,7 +295,7 @@ def run(config, observer=None):
 
     log = MetricsLog(
         config=config, config_hash=config_hash(config), run_id=run_id(config),
-        prunable_total=mask.size, class_count=dataset.class_count, layer_names=list(mask.arrays),
+        prunable_total=mask.size, layer_names=list(mask.arrays),
         test_labels=dataset.y_test.copy(),
     )
     global_iter = 0
@@ -297,8 +303,7 @@ def run(config, observer=None):
     for t in range(1, config.megabatches + 1):
         phase = "train"
         try:
-            if observer is not None and hasattr(observer, "on_megabatch_start"):
-                observer.on_megabatch_start(t, model, mask)
+            getattr(observer, "on_megabatch_start", _no_hook)(t, model, mask)
             view = replay_view(stream, t, config.replay)
             optim = OptimState(config.lr0, config.momentum, config.weight_decay)
             events = []  # (kind, detail), numbered in order below
@@ -316,8 +321,7 @@ def run(config, observer=None):
                 new_mask, detail = _prune_step(
                     config, dataset, stream, view, model, mask, t, deltas[t - 1]
                 )
-                if observer is not None and hasattr(observer, "on_prune"):
-                    observer.on_prune(t, mask, new_mask)
+                getattr(observer, "on_prune", _no_hook)(t, mask, new_mask)
                 mask = new_mask
                 apply_mask(model, mask)  # the next step zeroes the pruned momentum
                 _warn_collapse(t, mask)
@@ -351,8 +355,7 @@ def run(config, observer=None):
                 RunEvent(megabatch=t, seq=seq, kind=kind, detail=detail)
                 for seq, (kind, detail) in enumerate(events)
             )
-            if observer is not None and hasattr(observer, "on_megabatch_end"):
-                observer.on_megabatch_end(t, model, mask)
+            getattr(observer, "on_megabatch_end", _no_hook)(t, model, mask)
         except AnypruneError as exc:
             raise type(exc)(f"megabatch {t}, {phase}: {exc}") from exc
 

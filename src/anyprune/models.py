@@ -162,12 +162,6 @@ class Model:
             p.data = snap[name]
 
 
-def _dense_init(fan_in, fan_out, seed_keys):
-    w = T.tensor_randn((fan_in, fan_out), seed_keys, math.sqrt(2.0 / fan_in))
-    b = T.Tensor(np.zeros(fan_out))
-    return w, b
-
-
 def build_model(spec, seed):
     """Deterministic model construction: Kaiming-scaled weights, zero biases."""
     params, prunable = {}, []
@@ -180,8 +174,10 @@ def build_model(spec, seed):
         prunable.append(f"conv{layer}_w")
         cin = cout
     sizes = spec.dense_sizes()
-    for i in range(len(sizes) - 1):
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
         layer = len(spec.conv_stack) + i
-        params[f"fc{i}_w"], params[f"fc{i}_b"] = _dense_init(sizes[i], sizes[i + 1], (seed, layer))
+        scale = math.sqrt(2.0 / fan_in)
+        params[f"fc{i}_w"] = T.tensor_randn((fan_in, fan_out), (seed, layer), scale)
+        params[f"fc{i}_b"] = T.Tensor(np.zeros(fan_out))
         prunable.append(f"fc{i}_w")
     return Model(spec, params, tuple(prunable))

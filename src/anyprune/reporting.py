@@ -17,7 +17,7 @@ import shutil
 import tempfile
 
 from . import __version__
-from .config import resolved_text
+from .config import format_value, resolved_text
 from .errors import ConfigError
 from .metrics import summarize
 
@@ -27,15 +27,9 @@ CURVES_COLUMNS = (
 )
 
 
-def _fmt(v):
-    if isinstance(v, float):  # includes numpy float64; plain repr() would not
-        return repr(float(v))
-    return str(v)
-
-
 def _write_csv(path, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        csv.writer(f, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
+        csv.writer(f, lineterminator="\n").writerows([format_value(v) for v in row] for row in rows)
 
 
 def pruner_label(config):

@@ -114,18 +114,24 @@ class Tape:
 # primitive forward operations
 
 
+def _output(tape, name, inputs, data, bwd):
+    """Wrap an op's result in a Tensor and, on a tape, record the op's VJP ``bwd``."""
+    out = Tensor(data)
+    if tape is not None:
+        tape.record(name, inputs, out, bwd)
+    return out
+
+
 def matmul(a, b, tape=None):
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
-    if tape is not None:
-        def bwd(g):
-            return (g @ b.data.T if a.requires_grad else None), a.data.T @ g
 
-        tape.record("matmul", (a, b), out, bwd)
-    return out
+    def bwd(g):
+        return (g @ b.data.T if a.requires_grad else None), a.data.T @ g
+
+    return _output(tape, "matmul", (a, b), a.data @ b.data, bwd)
 
 
 def bias_add(x, b, tape=None):
@@ -147,29 +153,26 @@ def bias_add(x, b, tape=None):
         bias_map = np.empty(x.shape[1:])
         bias_map[...] = b.data
         x.data += bias_map
-    out = Tensor(x.data)
-    if tape is not None:
-        def bwd(g):
-            # batch axis first: a plain g.reshape(-1, C).sum(axis=0) is slower
-            return g, g.sum(axis=0).reshape(-1, g.shape[-1]).sum(axis=0)
 
-        tape.record("bias_add", (x, b), out, bwd)
-    return out
+    def bwd(g):
+        # batch axis first: a plain g.reshape(-1, C).sum(axis=0) is slower
+        return g, g.sum(axis=0).reshape(-1, g.shape[-1]).sum(axis=0)
+
+    return _output(tape, "bias_add", (x, b), x.data, bwd)
 
 
 def relu(x, tape=None):
     """max(x, 0), written over ``x.data``: pass only a fresh op output.
 
-    The VJP masks the gradient it is handed in place; ``out > 0`` is the mask
-    ``x > 0`` (NaN and -0.0 included), so the bits are those of ``g * (x > 0)``.
+    The VJP masks the gradient it is handed in place. ``x.data`` then holds the
+    output, and ``max(x, 0) > 0`` is the mask ``x > 0`` (NaN and -0.0
+    included), so the bits are those of ``g * (x > 0)``.
     """
-    out = Tensor(np.maximum(x.data, 0.0, out=x.data))
-    if tape is not None:
-        def bwd(g):
-            return (np.multiply(g, out.data > 0.0, out=g),)
 
-        tape.record("relu", (x,), out, bwd)
-    return out
+    def bwd(g):
+        return (np.multiply(g, x.data > 0.0, out=g),)
+
+    return _output(tape, "relu", (x,), np.maximum(x.data, 0.0, out=x.data), bwd)
 
 
 def conv2d(x, w, stride=1, padding=0, tape=None):
@@ -193,15 +196,14 @@ def conv2d(x, w, stride=1, padding=0, tape=None):
         )
     # One patch matrix per call; on a tape it lives until the VJP hands it on.
     cols = [kernels.im2col(x.data, kh, kw, stride, padding)]
-    out = Tensor(kernels.conv2d_fwd(x.data, w.data, stride, padding, cols[0]))
-    if tape is not None:
-        def bwd(g):
-            if not x.requires_grad:
-                return None, kernels.conv2d_bwd_w(w.data, g, cols.pop())
-            return kernels.conv2d_bwd(x.data, w.data, g, stride, padding, cols.pop())
+    out = kernels.conv2d_fwd(x.data, w.data, stride, padding, cols[0])
 
-        tape.record("conv2d", (x, w), out, bwd)
-    return out
+    def bwd(g):
+        if not x.requires_grad:
+            return None, kernels.conv2d_bwd_w(w.data, g, cols.pop())
+        return kernels.conv2d_bwd(x.data, w.data, g, stride, padding, cols.pop())
+
+    return _output(tape, "conv2d", (x, w), out, bwd)
 
 
 def mean_pool2(x, tape=None):
@@ -210,26 +212,22 @@ def mean_pool2(x, tape=None):
         raise ShapeError(f"mean_pool2 needs a 4-d input, got {x.shape}")
     if x.shape[1] < 2 or x.shape[2] < 2:
         raise ShapeError(f"mean_pool2 needs spatial dims >= 2, got {x.shape}")
-    out = Tensor(kernels.meanpool2_fwd(x.data))
-    if tape is not None:
-        def bwd(g):
-            return (kernels.meanpool2_bwd(x.data, g),)
 
-        tape.record("mean_pool2", (x,), out, bwd)
-    return out
+    def bwd(g):
+        return (kernels.meanpool2_bwd(x.data, g),)
+
+    return _output(tape, "mean_pool2", (x,), kernels.meanpool2_fwd(x.data), bwd)
 
 
 def reshape(x, shape, tape=None):
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    out = Tensor(x.data.reshape(shape))
-    if tape is not None:
-        def bwd(g):
-            return (g.reshape(x.shape),)
 
-        tape.record("reshape", (x,), out, bwd)
-    return out
+    def bwd(g):
+        return (g.reshape(x.shape),)
+
+    return _output(tape, "reshape", (x,), x.data.reshape(shape), bwd)
 
 
 def _log_softmax(z):
@@ -255,15 +253,13 @@ def softmax_cross_entropy(logits, labels, tape=None):
         raise LabelError(f"labels must lie in [0, {c})")
 
     logp = _log_softmax(logits.data)
-    out = Tensor(np.asarray(-logp[np.arange(y.shape[0]), y].mean()))
-    if tape is not None:
-        def bwd(g):
-            p = np.exp(logp)
-            p[np.arange(y.shape[0]), y] -= 1.0
-            return (p * (float(g) / y.shape[0]),)
 
-        tape.record("softmax_ce", (logits,), out, bwd)
-    return out
+    def bwd(g):
+        p = np.exp(logp)
+        p[np.arange(y.shape[0]), y] -= 1.0
+        return (p * (float(g) / y.shape[0]),)
+
+    return _output(tape, "softmax_ce", (logits,), -logp[np.arange(y.shape[0]), y].mean(), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,13 @@ class TestParseConfig:
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
 
+    def test_numpy_float_echoes_as_its_number(self):
+        text = (pathlib.Path(__file__).parents[1] / "configs" / "app_blobs.cfg").read_text()
+        cfg = parse_config(text)
+        echo = resolved_text(dataclasses.replace(cfg, lr0=np.float64(0.05)))
+        assert "lr0 = 0.05" in echo.splitlines()
+        assert parse_config(echo) == dataclasses.replace(cfg, lr0=0.05)
+
     def test_colon_separator_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
             parse_config("variant = baseline\nmegabatches: 2\ndataset = synthetic_blobs\n")
@@ -870,6 +877,26 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "megabatch 1, train: training loss is nan at epoch 3, global_iter 10" in err
+
+    def test_overflow_in_grasp_scoring_fails_loudly(self, tmp_path, capsys):
+        # one epoch at lr0 = 1e4 keeps the training loss finite, but GraSP's
+        # perturbed gradients overflow
+        rows = np.random.default_rng(0).standard_normal((30, 3))
+        (tmp_path / "data.csv").write_text("f0,f1,f2,label\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + f",{i % 3}\n" for i, row in enumerate(rows)
+        ))
+        cfg = tmp_path / "grasp.cfg"
+        cfg.write_text(
+            "variant = app_final\npruner = grasp\ntau = 1.0\nmegabatches = 1\nepochs = 1\n"
+            "lr0 = 1e4\nlr_gamma = 0.5\nweight_decay = 0.01\nminibatch = 4\nmlp_hidden = 8,4\n"
+            f"dataset = csv\ncsv_path = {tmp_path / 'data.csv'}\ncsv_label_column = label\n"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "megabatch 1, prune: non-finite gradients in hvp_fd" in capsys.readouterr().err
 
     def test_artifacts_identical_at_one_and_two_blas_threads(self, tmp_path):
         # matmuls large enough that OpenBLAS splits them when given two threads

@@ -1,11 +1,31 @@
-"""Property tests: global pruning, keep counts, delta schedules, config echo."""
+"""Property tests: global pruning, keep counts, delta schedules, config echo, exit codes."""
+
+import contextlib
+import csv
+import io
+import math
+import os
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyprune.config import DATASETS, MODELS, PRUNERS, VARIANTS, parse_config, resolved_text
+from anyprune.cli import main
+from anyprune.config import (
+    DATASETS,
+    LR_MODES,
+    MODELS,
+    PRUNERS,
+    VARIANTS,
+    RunConfig,
+    format_value,
+    parse_config,
+    resolved_text,
+)
+from anyprune.datasets import write_idx
 from anyprune.errors import NumericError
 from anyprune.pruning import SparsityMask, keep_count, make_delta_schedule, prune_global
 from helpers import support_subset
@@ -182,3 +202,133 @@ class TestConfigEcho:
     def test_resolved_text_round_trips(self, text):
         cfg = parse_config(text)
         assert parse_config(resolved_text(cfg)) == cfg
+
+
+# Candidate values of each config key, small enough that a run takes
+# milliseconds; the key's declared ``valid`` predicate sorts them into accepted
+# and rejected ones. None leaves the key out, so its default applies.
+_CANDIDATES = {
+    "tau": (0.5, 1.0, 2.5, 60.0),
+    "megabatches": (0, 1, 2, 3),
+    "replay": (None, "full", "none", "partial"),
+    "epochs": (0, 1, 2, 3),
+    "warmup_epochs": (None, 0, 1, 2, 4),
+    "lr_mode": (None, *LR_MODES, "constant"),
+    "lr0": (None, -0.1, 1e-3, 0.5, 1e4),
+    "lr_gamma": (None, 0.0, 0.5, 2.0),
+    "post_m1_lr": (None, 0.0, 1e-3, 1e4),
+    "momentum": (None, 0.0, 0.5, 1.0),
+    "weight_decay": (None, -1e-3, 0.0, 0.01),
+    "minibatch": (0, 1, 4, 32),
+    "pi_fraction": (None, 0.0, 0.05, 0.5, 1.0),
+    "val_fraction": (None, 0.0, 0.1, 0.5, 0.9),
+    "mlp_hidden": ((), (4,), (8, 4), (0,)),
+    "conv_channels": ((), (2,), (2, 3)),
+    "conv_kernel": (None, 0, 1, 3, 5),
+    "conv_stride": (None, 0, 1, 2),
+    "conv_padding": (None, -1, 0, 1),
+    "head_hidden": (None, (), (4,), (0,)),
+    "per_class_cap": (None, 0, 1, 5),
+    "test_fraction": (None, 0.0, 0.25, 0.5),
+    "blob_classes": (1, 2, 3),
+    "blob_per_class": (0, 1, 5, 20),
+    "blob_dim": (0, 1, 4),
+    "blob_noise": (-0.1, 0.0, 0.8),
+    "spiral_classes": (1, 2, 3),
+    "spiral_per_class": (0, 1, 5, 20),
+    "spiral_noise": (-0.1, 0.0, 0.2),
+    "test_per_class": (None, 0, 1, 3),
+    "seed": (None, -1, 0, 3),
+    "seed_partition": (None, -1, 0, 3),
+    "seed_init": (None, -1, 0, 3),
+    "seed_pruning": (None, -1, 0, 3),
+    "seed_shuffle": (None, -1, 0, 3),
+}
+_DECLARED = {f.name: f.metadata for f in fields(RunConfig)}
+
+
+def _accepted(key, value):
+    valid = _DECLARED[key]["valid"]
+    return value is None or valid is None or valid[0](value)
+
+
+@st.composite
+def run_configs(draw, data_paths):
+    """``key = value`` text over every applicable key; one config in four sets one key badly."""
+    r = {"variant": draw(st.sampled_from(VARIANTS)), "dataset": draw(st.sampled_from(DATASETS))}
+    r["model"] = draw(st.sampled_from(MODELS)) if r["dataset"] == "idx" else "mlp"
+    if r["variant"] != "baseline":
+        r["pruner"] = "snip" if r["variant"] == "app_noreplay_snip" else draw(st.sampled_from(PRUNERS))
+    applicable = [
+        name for name, meta in _DECLARED.items()
+        if name not in r and (meta["applies"] is None or meta["applies"](r))
+    ]
+    r.update((name, data_paths[name]) for name in applicable if name in data_paths)
+    drawn = [name for name in applicable if name in _CANDIDATES]
+    bad = draw(st.sampled_from(drawn)) if draw(st.integers(0, 3)) == 0 else None
+    for name in drawn:
+        values = [v for v in _CANDIDATES[name] if _accepted(name, v) != (name == bad)]
+        r[name] = draw(st.sampled_from(values))
+    return "".join(f"{k} = {format_value(v)}\n" for k, v in r.items() if v is not None)
+
+
+def _cli_run(cfg, out):
+    """``anyprune run cfg --out out``: the exit code and what it wrote to stderr."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["run", cfg, "--out", out])
+    return code, stderr.getvalue()
+
+
+def _artifacts(out):
+    """Every artifact's bytes but meta.json's, which holds the wall-clock time."""
+    artifacts = {}
+    for name in sorted(set(os.listdir(out)) - {"meta.json"}):
+        with open(os.path.join(out, name), "rb") as f:
+            artifacts[name] = f.read()
+    return artifacts
+
+
+class TestExitContract:
+    @pytest.fixture(scope="class")
+    def data_paths(self, tmp_path_factory):
+        """A 30-row, 3-class CSV and a 1x6x6 IDX pair (24 train, 9 test images)."""
+        d = tmp_path_factory.mktemp("exit_data")
+        g = np.random.default_rng(0)
+        with open(d / "data.csv", "w", encoding="utf-8") as f:
+            f.write("f0,f1,f2,label\n")
+            for i, row in enumerate(g.standard_normal((30, 3))):
+                f.write(",".join(repr(float(v)) for v in row) + f",{i % 3}\n")
+        paths = {"csv_path": str(d / "data.csv"), "csv_label_column": "label"}
+        for split, n in (("train", 24), ("test", 9)):
+            images, labels = str(d / f"{split}-images"), str(d / f"{split}-labels")
+            write_idx(g.random((n, 36)), np.arange(n) % 3, images, labels, (1, 6, 6))
+            paths[f"idx_{split}_images"], paths[f"idx_{split}_labels"] = images, labels
+        return paths
+
+    def test_every_key_is_drawn(self, data_paths):
+        steering = {"variant", "pruner", "model", "dataset"}
+        assert set(_DECLARED) == set(_CANDIDATES) | steering | set(data_paths)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(data=st.data())
+    def test_exit_code_artifacts_and_replay(self, data_paths, data):
+        """Exit 0, 1 or 2 and no traceback; finite losses after exit 0, no files
+        after a failure; a finished run, run again, writes the same artifacts."""
+        text = data.draw(run_configs(data_paths))
+        with tempfile.TemporaryDirectory() as d:
+            cfg, out = os.path.join(d, "run.cfg"), os.path.join(d, "out")
+            with open(cfg, "w", encoding="utf-8") as f:
+                f.write(text)
+            code, err = _cli_run(cfg, out)
+            assert code in (0, 1, 2) and "Traceback" not in err, err
+            if code != 0:
+                assert os.listdir(d) == ["run.cfg"], err
+                return
+            with open(os.path.join(out, "curves.csv"), encoding="utf-8") as f:
+                rows = list(csv.DictReader(f))
+            assert rows
+            assert all(math.isfinite(float(row[c])) for row in rows for c in ("train_loss", "val_loss"))
+            first = _artifacts(out)
+            assert _cli_run(cfg, out) == (0, err)
+            assert _artifacts(out) == first
