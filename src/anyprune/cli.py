@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 configuration error, 2 any other failure.
 
 import argparse
 import concurrent.futures
+import functools
 import os
 import sys
 import traceback
@@ -12,6 +13,7 @@ import traceback
 from .config import parse_config, run_id
 from .errors import AnypruneError, ConfigError
 from .harness import run
+from .kernels import blas_threads
 from .reporting import check_run_dir, emit_svg_from_dir, pruner_label, write_run_dir
 
 
@@ -45,11 +47,12 @@ def _cmd_run(args):
     return 0
 
 
-def _sweep_one(job):
-    """Run one sweep job; returns None, or the error that stopped it."""
+def _sweep_one(job, threads=None):
+    """Run one sweep job, an MLP at ``threads`` BLAS threads; returns None, or its error."""
     _, config, outdir = job
     try:
-        _execute(config, outdir)
+        with blas_threads(threads if config.model == "mlp" else None):
+            _execute(config, outdir)
     except Exception as exc:  # recorded as failed; the sweep runs the rest
         return _describe(exc)
     return None
@@ -90,8 +93,10 @@ def _cmd_sweep(args):
     workers = min(args.parallel, len(jobs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            # one future per job, so a dead worker fails only the jobs it takes down
-            futures = [pool.submit(_sweep_one, job) for job in jobs]
+            # one future per job, so a dead worker fails only the jobs it takes down;
+            # an MLP job gets its worker's share of the cores as BLAS threads
+            share = functools.partial(_sweep_one, threads=max(1, (os.cpu_count() or 1) // workers))
+            futures = [pool.submit(share, job) for job in jobs]
             errors = [_pooled_outcome(f) for f in futures]
     else:
         errors = [_sweep_one(job) for job in jobs]

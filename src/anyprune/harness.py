@@ -22,6 +22,7 @@ import numpy as np
 from .config import config_hash, run_id
 from .datasets import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, split_test
 from .errors import AnypruneError, DataError, FormatError, NumericError
+from .kernels import blas_threads
 from .metrics import error_count, generalization_gap
 from .models import ModelSpec, build_model
 from .optim import OptimState, sgd_momentum_step
@@ -38,6 +39,10 @@ from .rng import STREAM_SHUFFLE, rng_from
 from .stream import build_stream, draw_pi, replay_view
 
 logger = logging.getLogger(__name__)
+
+# an MLP step under this many multiply-adds trains on one OpenBLAS thread: a second
+# thread slows its elementwise numpy work more than it speeds up its small products
+SMALL_STEP_MACS = 2**22
 
 
 @dataclass
@@ -275,89 +280,93 @@ def run(config, observer=None):
         dataset, config.megabatches, config.val_fraction,
         config.per_class_cap, config.seed_partition,
     )
-    model = build_model(model_spec_for_config(config, dataset), config.seed_init)
-    mask = SparsityMask.full(model)
-    # deltas: the exponents of the megabatches that prune, in stream order;
-    # at: the epochs each megabatch trains before its prune step
-    steps = 1 if config.variant == "anytime_osp" else config.megabatches
-    deltas = make_delta_schedule(config.tau, steps) if config.variant != "baseline" else ()
-    at = 0
-    if config.variant == "app_final":
-        at = config.epochs
-    elif config.variant == "app_warmup":
-        at = config.warmup_epochs
-        if at >= config.epochs:
-            at = math.ceil(config.epochs / 2)
-            logger.warning(
-                "warmup_epochs %d >= epochs %d; pruning after epoch %d instead",
-                config.warmup_epochs, config.epochs, at,
-            )
-
-    log = MetricsLog(
-        config=config, config_hash=config_hash(config), run_id=run_id(config),
-        prunable_total=mask.size, layer_names=list(mask.arrays),
-        test_labels=dataset.y_test.copy(),
-    )
-    global_iter = 0
-
-    for t in range(1, config.megabatches + 1):
-        phase = "train"
-        try:
-            getattr(observer, "on_megabatch_start", _no_hook)(t, model, mask)
-            view = replay_view(stream, t, config.replay)
-            optim = OptimState(config.lr0, config.momentum, config.weight_decay)
-            events = []  # (kind, detail), numbered in order below
-            snap, best_rec, records, global_iter = train_megabatch(
-                model, mask, dataset, view, config, t, epochs=range(1, at + 1),
-                optim=optim, global_iter=global_iter, observer=observer,
-            )
-            log.epochs.extend(records)
-            if records:
-                events.append(("train", {"first_epoch": 1, "last_epoch": at}))
-            if t <= len(deltas):
-                phase = "prune"
-                if config.variant == "app_final":
-                    model.restore(snap)
-                new_mask, detail = _prune_step(
-                    config, dataset, stream, view, model, mask, t, deltas[t - 1]
+    spec = model_spec_for_config(config, dataset)
+    sizes = spec.dense_sizes()
+    step_macs = config.minibatch * sum(a * b for a, b in zip(sizes, sizes[1:]))
+    with blas_threads(1 if not spec.conv_stack and step_macs < SMALL_STEP_MACS else None):
+        model = build_model(spec, config.seed_init)
+        mask = SparsityMask.full(model)
+        # deltas: the exponents of the megabatches that prune, in stream order;
+        # at: the epochs each megabatch trains before its prune step
+        steps = 1 if config.variant == "anytime_osp" else config.megabatches
+        deltas = make_delta_schedule(config.tau, steps) if config.variant != "baseline" else ()
+        at = 0
+        if config.variant == "app_final":
+            at = config.epochs
+        elif config.variant == "app_warmup":
+            at = config.warmup_epochs
+            if at >= config.epochs:
+                at = math.ceil(config.epochs / 2)
+                logger.warning(
+                    "warmup_epochs %d >= epochs %d; pruning after epoch %d instead",
+                    config.warmup_epochs, config.epochs, at,
                 )
-                getattr(observer, "on_prune", _no_hook)(t, mask, new_mask)
-                mask = new_mask
-                apply_mask(model, mask)  # the next step zeroes the pruned momentum
-                _warn_collapse(t, mask)
-                events.append(("prune", detail))
-            del snap  # restored above, or a warmup's best that nothing reads
-            phase = "train"
-            snap, rec, records, global_iter = train_megabatch(
-                model, mask, dataset, view, config, t, epochs=range(at + 1, config.epochs + 1),
-                optim=optim, global_iter=global_iter, observer=observer,
-            )
-            log.epochs.extend(records)
-            # with no epochs after the prune, the pruned weights and the earlier
-            # span's best record stand
-            if records:
-                events.append(("train", {"first_epoch": at + 1, "last_epoch": config.epochs}))
-                best_rec = rec
-                model.restore(snap)
-                del snap
 
-            phase = "eval"
-            preds = model.predict(dataset.x_test)
-            errors = error_count(preds, dataset.y_test)
-            gap = generalization_gap(best_rec.train_acc, best_rec.val_acc)
-            log.megabatches.append(MegabatchRecord(
-                megabatch=t, best_epoch=best_rec.epoch, test_errors=errors,
-                test_total=int(dataset.y_test.size), gen_gap_pp=gap, kept_count=mask.kept_count,
-                layer_pruned=layer_pruned_fraction(mask), predictions=preds,
-            ))
-            events.append(("eval", {"test_errors": errors}))
-            log.events.extend(
-                RunEvent(megabatch=t, seq=seq, kind=kind, detail=detail)
-                for seq, (kind, detail) in enumerate(events)
-            )
-            getattr(observer, "on_megabatch_end", _no_hook)(t, model, mask)
-        except AnypruneError as exc:
-            raise type(exc)(f"megabatch {t}, {phase}: {exc}") from exc
+        log = MetricsLog(
+            config=config, config_hash=config_hash(config), run_id=run_id(config),
+            prunable_total=mask.size, layer_names=list(mask.arrays),
+            test_labels=dataset.y_test.copy(),
+        )
+        global_iter = 0
+
+        for t in range(1, config.megabatches + 1):
+            phase = "train"
+            try:
+                getattr(observer, "on_megabatch_start", _no_hook)(t, model, mask)
+                view = replay_view(stream, t, config.replay)
+                optim = OptimState(config.lr0, config.momentum, config.weight_decay)
+                events = []  # (kind, detail), numbered in order below
+                snap, best_rec, records, global_iter = train_megabatch(
+                    model, mask, dataset, view, config, t, epochs=range(1, at + 1),
+                    optim=optim, global_iter=global_iter, observer=observer,
+                )
+                log.epochs.extend(records)
+                if records:
+                    events.append(("train", {"first_epoch": 1, "last_epoch": at}))
+                if t <= len(deltas):
+                    phase = "prune"
+                    if config.variant == "app_final":
+                        model.restore(snap)
+                    new_mask, detail = _prune_step(
+                        config, dataset, stream, view, model, mask, t, deltas[t - 1]
+                    )
+                    getattr(observer, "on_prune", _no_hook)(t, mask, new_mask)
+                    mask = new_mask
+                    apply_mask(model, mask)  # the next step zeroes the pruned momentum
+                    _warn_collapse(t, mask)
+                    events.append(("prune", detail))
+                del snap  # restored above, or a warmup's best that nothing reads
+                phase = "train"
+                snap, rec, records, global_iter = train_megabatch(
+                    model, mask, dataset, view, config, t, epochs=range(at + 1, config.epochs + 1),
+                    optim=optim, global_iter=global_iter, observer=observer,
+                )
+                log.epochs.extend(records)
+                # with no epochs after the prune, the pruned weights and the earlier
+                # span's best record stand
+                if records:
+                    events.append(("train", {"first_epoch": at + 1, "last_epoch": config.epochs}))
+                    best_rec = rec
+                    model.restore(snap)
+                    del snap
+
+                phase = "eval"
+                preds = model.predict(dataset.x_test)
+                errors = error_count(preds, dataset.y_test)
+                gap = generalization_gap(best_rec.train_acc, best_rec.val_acc)
+                log.megabatches.append(MegabatchRecord(
+                    megabatch=t, best_epoch=best_rec.epoch, test_errors=errors,
+                    test_total=int(dataset.y_test.size), gen_gap_pp=gap, kept_count=mask.kept_count,
+                    layer_pruned=layer_pruned_fraction(mask), predictions=preds,
+                ))
+                events.append(("eval", {"test_errors": errors}))
+                log.events.extend(
+                    RunEvent(megabatch=t, seq=seq, kind=kind, detail=detail)
+                    for seq, (kind, detail) in enumerate(events)
+                )
+                getattr(observer, "on_megabatch_end", _no_hook)(t, model, mask)
+            except AnypruneError as exc:
+                raise type(exc)(f"megabatch {t}, {phase}: {exc}") from exc
 
     log.wall_clock_seconds = time.perf_counter() - started
     return log

@@ -30,7 +30,43 @@ larger batch's patch matrices.
 Dense (matmul) layers do not live here: BLAS already is the fast path for them.
 """
 
+import contextlib
+import ctypes
+import functools
+
 import numpy as np
+
+
+@functools.cache
+def _openblas():
+    """(set, get) of the thread count of the OpenBLAS numpy links, or None."""
+    try:  # a handle on numpy's core extension also resolves the libraries it links
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):  # numpy 1.x keeps it in np.core: left alone
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("set")):
+            set_count, get_count = (getattr(lib, name.format(op)) for op in ("set", "get"))
+            set_count.argtypes, set_count.restype = [ctypes.c_int], None
+            get_count.argtypes, get_count.restype = [], ctypes.c_int
+            return set_count, get_count
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """Run the body at ``n`` OpenBLAS threads, then restore the count; None leaves it."""
+    blas = None if n is None else _openblas()
+    if blas is None:
+        yield
+        return
+    set_count, get_count = blas
+    before = get_count()
+    set_count(n)
+    try:
+        yield
+    finally:
+        set_count(before)
 
 
 def conv2d_output_hw(h, w, kh, kw, stride, padding):

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anyprune import harness
+from anyprune import harness, kernels
 from anyprune.config import parse_config
 from anyprune.datasets import Dataset
 from anyprune.errors import NumericError
@@ -455,6 +455,74 @@ class TestDegenerateEquivalence:
         eb = [(r.epoch, r.train_correct, r.val_correct, r.train_loss) for r in b.epochs]
         assert ea == eb
         np.testing.assert_array_equal(a.megabatches[0].predictions, b.megabatches[0].predictions)
+
+
+def _blas_count():
+    return kernels._openblas()[1]()
+
+
+class _StepThreads:
+    """Records the OpenBLAS thread count at every optimizer step."""
+
+    def __init__(self):
+        self.counts = set()
+
+    def on_step(self, t, epoch, model, optim, mask):
+        self.counts.add(_blas_count())
+
+
+@pytest.mark.skipif(
+    kernels._openblas() is None, reason="numpy's OpenBLAS thread count is not settable"
+)
+class TestBlasThreadRule:
+    # every test starts from 2 inherited threads, whatever the host's default,
+    # so that the rule's single thread is told apart from the inherited count
+
+    @pytest.mark.parametrize("hidden, threads", [
+        ("256,128", 1),  # 32 x (8·256 + 256·128 + 128·3) multiply-adds a step
+        ("2048,256", 2),  # 32 x 541440, over harness.SMALL_STEP_MACS
+    ])
+    def test_an_mlp_trains_on_one_thread_only_under_the_constant(self, hidden, threads):
+        observer = _StepThreads()
+        with kernels.blas_threads(2):
+            run(_cfg(megabatches=1, epochs=1, mlp_hidden=hidden, minibatch=32), observer)
+            assert _blas_count() == 2
+        assert observer.counts == {threads}
+
+    def test_a_convnet_keeps_the_inherited_count(self, tmp_path):
+        from anyprune.datasets import gen_digits, write_idx
+
+        x, y, shape = gen_digits(per_class=10, seed=3, side=8)
+        write_idx(x, y, tmp_path / "ti", tmp_path / "tl", shape)
+        write_idx(x, y, tmp_path / "si", tmp_path / "sl", shape)
+        cfg = parse_config(
+            "variant = baseline\nmegabatches = 1\nepochs = 1\ndataset = idx\n"
+            f"idx_train_images = {tmp_path / 'ti'}\nidx_train_labels = {tmp_path / 'tl'}\n"
+            f"idx_test_images = {tmp_path / 'si'}\nidx_test_labels = {tmp_path / 'sl'}\n"
+            "model = convnet\nconv_channels = 2\nminibatch = 16\n"
+        )
+        observer = _StepThreads()
+        with kernels.blas_threads(2):
+            run(cfg, observer)
+        assert observer.counts == {2}
+
+    def test_the_count_is_restored_after_a_diverging_run(self):
+        text = (pathlib.Path(__file__).parents[1] / "configs" / "baseline_blobs.cfg").read_text()
+        with kernels.blas_threads(2):
+            with pytest.raises(NumericError, match="training loss is nan"):
+                run(parse_config(text + "lr0 = 1e6\n"))
+            assert _blas_count() == 2
+
+
+def test_a_run_with_no_settable_blas_count_writes_the_same_artifacts(tmp_path, monkeypatch):
+    from anyprune.reporting import write_run_dir
+
+    cfg = _cfg(mlp_hidden="256,128")
+    write_run_dir(run(cfg), tmp_path / "rule")
+    monkeypatch.setattr(kernels, "_openblas", lambda: None)
+    write_run_dir(run(cfg), tmp_path / "inert")
+    for name in ("summary.json", "curves.csv", "predictions.csv", "events.csv"):
+        assert (tmp_path / "rule" / name).read_bytes() == (tmp_path / "inert" / name).read_bytes()
 
 
 def test_benchmark_tracer_reads_the_model_and_the_harness(tmp_path):

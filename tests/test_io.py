@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import anyprune
+from anyprune import kernels
 from anyprune.cli import main
 from anyprune.config import RunConfig, config_hash, parse_config, resolved_text
 from anyprune.datasets import (
@@ -923,6 +924,29 @@ class TestCli:
         for name in ("summary.json", "curves.csv", "predictions.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_desk_sized_artifacts_identical_at_one_and_two_blas_threads(self, tmp_path):
+        # a step under harness.SMALL_STEP_MACS: the run sets one thread itself
+        cfg = tmp_path / "desk.cfg"
+        cfg.write_text(
+            "variant = app_default\npruner = snip\ntau = 4.5\nmegabatches = 3\n"
+            "epochs = 2\nminibatch = 32\nmodel = mlp\nmlp_hidden = 256,128\n"
+            "dataset = synthetic_blobs\nblob_dim = 64\n"
+        )
+        pkg_root = os.path.dirname(os.path.dirname(anyprune.__file__))
+        pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+            done = subprocess.run(
+                [sys.executable, "-m", "anyprune.cli", "run", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(out)
+        for name in ("summary.json", "curves.csv", "predictions.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_sweep_and_plot(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"
         cfg_dir.mkdir()
@@ -983,6 +1007,36 @@ class TestCli:
         assert finished or lines[-1] == f"failed  {cfg_dir / 'b_small.cfg'}: worker process died"
         assert lines[-3] == f"sweep: {int(finished)} of 2 configs finished"
         assert not finished or (out / "b_small" / "summary.json").exists()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched _execute reaches the workers only when they are forked",
+    )
+    @pytest.mark.skipif(
+        kernels._openblas() is None, reason="numpy's OpenBLAS thread count is not settable"
+    )
+    def test_pooled_mlp_job_runs_at_its_share_of_blas_threads(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a_mlp.cfg").write_text(SMALL_RUN)
+        (cfg_dir / "b_conv.cfg").write_text(
+            "variant = baseline\nmegabatches = 1\nmodel = convnet\nconv_channels = 2\n"
+            "dataset = idx\n"
+            + "".join(f"idx_{part}_{kind} = {tmp_path / 'unread'}\n"
+                      for part in ("train", "test") for kind in ("images", "labels"))
+        )
+
+        def record_count(config, outdir):  # runs in a worker, so it reports through a file
+            (tmp_path / f"{config.model}.threads").write_text(str(kernels._openblas()[1]()))
+
+        monkeypatch.setattr("anyprune.cli._execute", record_count)
+        out = tmp_path / "out"
+        with kernels.blas_threads(os.cpu_count() or 1):  # the count the workers inherit
+            inherited = kernels._openblas()[1]()
+            assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "2"]) == 0
+        share = max(1, (os.cpu_count() or 1) // 2)
+        assert int((tmp_path / "mlp.threads").read_text()) == share
+        assert int((tmp_path / "convnet.threads").read_text()) == inherited
 
     def test_sweep_reports_an_error_with_an_empty_message_as_failed(
         self, tmp_path, capsys, monkeypatch
