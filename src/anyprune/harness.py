@@ -143,14 +143,15 @@ def _check_loss(kind, loss, epoch, global_iter):
 def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global_iter=0, observer=None):
     """Train the view's rows of the dataset for the given epochs, tracking the best val checkpoint.
 
-    Returns (best_snapshot, best_record, epoch_records, global_iter); the best
-    snapshot is the parameter copy from the epoch with the highest validation
-    accuracy (ties favor the earlier epoch), or None when no epochs ran. The
-    model is left at its *running* (last-step) parameters; callers decide when
-    to restore the checkpoint.
+    Returns (best_record, epoch_records, global_iter); the best record is the
+    epoch with the highest validation accuracy (ties favor the earlier epoch),
+    or None when no epochs ran. Epochs that end at ``config.epochs`` leave the
+    model at the best epoch's parameters; a span that stops earlier (a
+    warmup) copies no checkpoint and leaves the running (last-step) ones.
     """
     if epochs and view.train_idx.size == 0:
         raise DataError("megabatch training view has no training samples")
+    final = bool(epochs) and epochs[-1] == config.epochs
     kept = mask.kept_count
     records = []
     best_snap = best_rec = None
@@ -184,9 +185,12 @@ def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global
         records.append(rec)
         if best_rec is None or rec.val_correct > best_rec.val_correct:
             best_rec = rec
-            del best_snap  # the old best goes before the new copy is made
-            best_snap = model.snapshot()
-    return best_snap, best_rec, records, global_iter
+            if final:
+                del best_snap  # the old best goes before the new copy is made
+                best_snap = model.snapshot()
+    if final:
+        model.restore(best_snap)
+    return best_rec, records, global_iter
 
 
 def dataset_for_config(config):
@@ -316,39 +320,28 @@ def run(config, observer=None):
                 view = replay_view(stream, t, config.replay)
                 optim = OptimState(config.lr0, config.momentum, config.weight_decay)
                 events = []  # (kind, detail), numbered in order below
-                snap, best_rec, records, global_iter = train_megabatch(
-                    model, mask, dataset, view, config, t, epochs=range(1, at + 1),
-                    optim=optim, global_iter=global_iter, observer=observer,
-                )
-                log.epochs.extend(records)
-                if records:
-                    events.append(("train", {"first_epoch": 1, "last_epoch": at}))
-                if t <= len(deltas):
-                    phase = "prune"
-                    if config.variant == "app_final":
-                        model.restore(snap)
-                    new_mask, detail = _prune_step(
-                        config, dataset, stream, view, model, mask, t, deltas[t - 1]
+                # the prune step falls between the two spans, so an empty second span
+                # leaves the pruned weights and the first span's best record standing
+                for span, (first, last) in enumerate(((1, at), (at + 1, config.epochs))):
+                    phase = "train"
+                    span_best, records, global_iter = train_megabatch(
+                        model, mask, dataset, view, config, t, epochs=range(first, last + 1),
+                        optim=optim, global_iter=global_iter, observer=observer,
                     )
-                    getattr(observer, "on_prune", _no_hook)(t, mask, new_mask)
-                    mask = new_mask
-                    apply_mask(model, mask)  # the next step zeroes the pruned momentum
-                    _warn_collapse(t, mask)
-                    events.append(("prune", detail))
-                del snap  # restored above, or a warmup's best that nothing reads
-                phase = "train"
-                snap, rec, records, global_iter = train_megabatch(
-                    model, mask, dataset, view, config, t, epochs=range(at + 1, config.epochs + 1),
-                    optim=optim, global_iter=global_iter, observer=observer,
-                )
-                log.epochs.extend(records)
-                # with no epochs after the prune, the pruned weights and the earlier
-                # span's best record stand
-                if records:
-                    events.append(("train", {"first_epoch": at + 1, "last_epoch": config.epochs}))
-                    best_rec = rec
-                    model.restore(snap)
-                    del snap
+                    if records:
+                        log.epochs.extend(records)
+                        events.append(("train", {"first_epoch": first, "last_epoch": last}))
+                        best_rec = span_best
+                    if span == 0 and t <= len(deltas):
+                        phase = "prune"
+                        new_mask, detail = _prune_step(
+                            config, dataset, stream, view, model, mask, t, deltas[t - 1]
+                        )
+                        getattr(observer, "on_prune", _no_hook)(t, mask, new_mask)
+                        mask = new_mask
+                        apply_mask(model, mask)  # the next step zeroes the pruned momentum
+                        _warn_collapse(t, mask)
+                        events.append(("prune", detail))
 
                 phase = "eval"
                 preds = model.predict(dataset.x_test)

@@ -27,9 +27,15 @@ CURVES_COLUMNS = (
 )
 
 
-def _write_csv(path, rows):
+def _write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        csv.writer(f, lineterminator="\n").writerows([format_value(v) for v in row] for row in rows)
+        f.write(text)
+
+
+def _write_csv(path, rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([format_value(v) for v in row] for row in rows)
+    _write_text(path, out.getvalue())
 
 
 def pruner_label(config):
@@ -87,9 +93,7 @@ def write_events_csv(log, path):
 
 def write_summary_json(summary, path):
     """The deterministic, variant-neutral RunSummary fields, as JSON."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(dataclasses.asdict(summary), f, indent=2)
-        f.write("\n")
+    _write_text(path, json.dumps(dataclasses.asdict(summary), indent=2) + "\n")
 
 
 RUN_ARTIFACTS = frozenset((
@@ -149,8 +153,7 @@ def write_run_dir(log, outdir):
 
 def _write_artifacts(log, outdir):
     summary = summarize(log)
-    with open(os.path.join(outdir, "config.resolved"), "w", encoding="utf-8", newline="\n") as f:
-        f.write(resolved_text(log.config))
+    _write_text(os.path.join(outdir, "config.resolved"), resolved_text(log.config))
     write_curves_csv(log, os.path.join(outdir, "curves.csv"))
     write_megabatches_csv(log, os.path.join(outdir, "megabatches.csv"))
     write_predictions_csv(log, os.path.join(outdir, "predictions.csv"))
@@ -164,9 +167,7 @@ def _write_artifacts(log, outdir):
         "wall_clock_seconds": log.wall_clock_seconds,
         "version": __version__,
     }
-    with open(os.path.join(outdir, "meta.json"), "w", encoding="utf-8", newline="\n") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")
+    _write_text(os.path.join(outdir, "meta.json"), json.dumps(meta, indent=2) + "\n")
     emit_svg_from_dir(outdir)
     return summary
 
@@ -287,5 +288,4 @@ def emit_svg_from_dir(rundir):
          "megabatch", "test errors (cumulative)"),
         ("layer_pruned.svg", layers, "Pruned weights per layer", "megabatch", "fraction pruned"),
     ):
-        with open(os.path.join(rundir, name), "w", encoding="utf-8", newline="\n") as f:
-            f.write(_svg_line_chart(series, title, xlabel, ylabel))
+        _write_text(os.path.join(rundir, name), _svg_line_chart(series, title, xlabel, ylabel))

@@ -303,6 +303,48 @@ class TestCheckpointCarryover:
             assert rec.best_epoch == first_best
 
 
+class _PrunedWeights:
+    """The weights after each epoch's last step, and the weights the prune step scores."""
+
+    def __init__(self):
+        self.after_epoch = {}
+        self.pruned = None
+
+    def _copy(self):
+        return {name: p.data.copy() for name, p in self.model.params.items()}
+
+    def on_megabatch_start(self, t, model, mask):
+        self.model = model
+
+    def on_step(self, t, epoch, model, optim, mask):
+        self.after_epoch[epoch] = self._copy()
+
+    def on_prune(self, t, old_mask, new_mask):
+        self.pruned = self._copy()
+
+
+class TestWhatEachVariantPrunes:
+    """Each epoch scores one validation answer fewer, so a span's first epoch is its best."""
+
+    @pytest.mark.parametrize("variant, epochs, warmup, pruned_epoch", [
+        ("app_final", 3, 20, 1),  # the best checkpoint, restored after the last epoch
+        ("app_warmup", 4, 2, 2),  # the running weights at the warmup's end
+        ("app_warmup", 1, 20, 1),  # the fallback prunes after the only epoch
+    ])
+    def test_the_prune_step_scores(self, monkeypatch, variant, epochs, warmup, pruned_epoch):
+        fewer = itertools.count()
+        monkeypatch.setattr(
+            harness, "evaluate", lambda model, x, y: (x.shape[0] - next(fewer), x.shape[0], 1.0)
+        )
+        obs = _PrunedWeights()
+        run(_cfg(variant=variant, megabatches=1, epochs=epochs, warmup_epochs=warmup), observer=obs)
+        assert sorted(obs.after_epoch) == list(range(1, epochs + 1))
+        want = obs.after_epoch[pruned_epoch]
+        assert obs.pruned.keys() == want.keys()
+        for name, arr in want.items():
+            np.testing.assert_array_equal(obs.pruned[name], arr)
+
+
 class TestTrainMegabatch:
     def test_zero_epochs_is_noop(self):
         cfg = _cfg()
@@ -313,11 +355,11 @@ class TestTrainMegabatch:
         model = build_model(ModelSpec((8,), 3, hidden=(12,)), seed=cfg.seed_init)
         before = model.snapshot()
         optim = OptimState(cfg.lr0, cfg.momentum, cfg.weight_decay)
-        snap, rec, records, gi = train_megabatch(
+        rec, records, gi = train_megabatch(
             model, SparsityMask.full(model), dataset, replay_view(stream, 1, "full"), cfg, 1,
             epochs=range(0), optim=optim,
         )
-        assert snap is None and rec is None and records == [] and gi == 0
+        assert rec is None and records == [] and gi == 0
         for name, arr in before.items():
             np.testing.assert_array_equal(model.params[name].data, arr)
 
@@ -330,7 +372,7 @@ class TestTrainMegabatch:
         dataset = Dataset(x, y, x[:1], y[:1], input_shape=(196,))
         model = build_model(ModelSpec((196,), 10, hidden=(1024, 512)), seed=0)
         mask = SparsityMask.full(model)
-        cfg = _cfg(minibatch=32)
+        cfg = _cfg(minibatch=32, epochs=1)  # the epoch ends the megabatch, so it takes a snapshot
         optim = OptimState(cfg.lr0, cfg.momentum, cfg.weight_decay)
         val = np.arange(96, 104)
         views = {1: Megabatch(np.arange(32), val), 3: Megabatch(np.arange(96), val)}

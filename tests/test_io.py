@@ -1180,6 +1180,7 @@ FAULT_SITES = [
     ("anyprune.harness._prune_step", "prune"),
     ("anyprune.harness.apply_mask", "prune"),
     ("anyprune.harness._warn_collapse", "prune"),
+    ("anyprune.models.Model.snapshot", "train"),
     ("anyprune.models.Model.restore", "train"),
     ("anyprune.models.Model.predict", "eval"),
     ("anyprune.harness.error_count", "eval"),
