@@ -58,10 +58,16 @@ def _sweep_one(job, threads=None):
     return None
 
 
-def _pooled_outcome(future):
-    """A pooled job's result; a job whose worker process died failed."""
+def _pooled_outcome(future, fn, job):
+    """A pooled job's result. A dead worker breaks the whole pool, so a job it took
+    down runs once more, alone; the job fails only if its own worker dies."""
     try:
         return future.result()
+    except concurrent.futures.process.BrokenProcessPool:
+        pass
+    try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
+            return alone.submit(fn, job).result()
     except concurrent.futures.process.BrokenProcessPool:
         return "worker process died"
 
@@ -92,12 +98,11 @@ def _cmd_sweep(args):
     # the pool starts every worker up front, so start no more than there are jobs
     workers = min(args.parallel, len(jobs))
     if workers > 1:
+        # an MLP job gets its worker's share of the cores as BLAS threads
+        share = functools.partial(_sweep_one, threads=max(1, (os.cpu_count() or 1) // workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            # one future per job, so a dead worker fails only the jobs it takes down;
-            # an MLP job gets its worker's share of the cores as BLAS threads
-            share = functools.partial(_sweep_one, threads=max(1, (os.cpu_count() or 1) // workers))
             futures = [pool.submit(share, job) for job in jobs]
-            errors = [_pooled_outcome(f) for f in futures]
+        errors = [_pooled_outcome(f, share, job) for f, job in zip(futures, jobs)]
     else:
         errors = [_sweep_one(job) for job in jobs]
     failed = sum(e is not None for e in errors)

@@ -5,20 +5,25 @@ lines and the recorded (non-asserted) desk-scale comparisons.
 """
 
 import contextlib
+import csv
+import json
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 
+from anyprune.cli import main
 from anyprune.config import parse_config
 from anyprune.datasets import gen_digits, write_idx
-from anyprune.harness import run
+from anyprune.harness import dataset_for_config, run
 from anyprune.metrics import error_count
 from anyprune.models import ModelSpec, build_model
 from anyprune.pruning import SparsityMask, make_delta_schedule, prune_global
 from anyprune.reporting import read_megabatches_csv, write_run_dir
 from anyprune.rng import round_half_up
+from anyprune.stream import build_stream, replay_view
 from anyprune.tensor import hvp_fd, Tensor
 from helpers import support_subset
 
@@ -313,29 +318,43 @@ def _desk_config(root, variant, seed):
     ]
     if variant != "baseline":
         lines += ["pruner = snip", "tau = 4.5"]
-    return parse_config("\n".join(lines))
+    return "\n".join(lines) + "\n"
 
 
 def test_criterion_9_desk_scale_experiment(digits_idx, tmp_path):
     with criterion(9, "end-to-end IDX digits, 3 variants x 3 seeds"):
-        gaps = {}
+        cfg_dir, out = tmp_path / "cfgs", tmp_path / "runs"
+        cfg_dir.mkdir()
         for seed in (0, 1, 2):
             for variant in DESK_VARIANTS:
-                config = _desk_config(digits_idx, variant, seed)
-                started = time.perf_counter()
-                log = run(config)
-                elapsed = time.perf_counter() - started
-                assert elapsed < 900.0, f"{variant} seed {seed} took {elapsed:.0f}s"
-                outdir = tmp_path / f"{variant}_s{seed}"
-                summary = write_run_dir(log, outdir)
+                (cfg_dir / f"{variant}_s{seed}.cfg").write_text(_desk_config(digits_idx, variant, seed))
+        workers = min(2, os.cpu_count() or 1)
+        assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", str(workers)]) == 0
+        gaps = {}
+        for seed in (0, 1, 2):
+            # sanity: the cap kept 270*10 samples -> megabatches of 337, of which
+            # 303 train; train_megabatch permutes this view and records its size
+            # as train_total, and 303 rows at minibatch 32 are 10 steps an epoch
+            config = parse_config(_desk_config(digits_idx, "baseline", seed))
+            dataset = dataset_for_config(config)
+            stream = build_stream(
+                dataset, config.megabatches, config.val_fraction,
+                config.per_class_cap, config.seed_partition,
+            )
+            assert replay_view(stream, 1, "full").train_idx.size == 303
+            for variant in DESK_VARIANTS:
+                outdir = out / f"{variant}_s{seed}"
                 for name in (
                     "curves.csv", "megabatches.csv", "summary.json",
                     "gen_gap.svg", "cer.svg", "layer_pruned.svg",
                 ):
                     assert (outdir / name).exists(), name
-                gaps[(variant, seed)] = summary.final_generalization_gap_pp
-                # sanity: the cap kept 270*10 samples -> megabatches of 337
-                assert log.epochs[0].train_total == 303
+                elapsed = json.loads((outdir / "meta.json").read_text())["wall_clock_seconds"]
+                assert elapsed < 900.0, f"{variant} seed {seed} took {elapsed:.0f}s"
+                with open(outdir / "curves.csv", newline="") as f:
+                    assert int(next(csv.DictReader(f))["global_iter"]) == 10
+                summary = json.loads((outdir / "summary.json").read_text())
+                gaps[(variant, seed)] = summary["final_generalization_gap_pp"]
         for seed in (0, 1, 2):
             app = gaps[("app_default", seed)]
             base = gaps[("baseline", seed)]

@@ -11,6 +11,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import warnings
 import xml.dom.minidom
 
@@ -984,29 +985,37 @@ class TestCli:
         multiprocessing.get_start_method() != "fork",
         reason="the patched _execute reaches the workers only when they are forked",
     )
-    def test_sweep_records_a_dead_worker_as_failed(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "healthy", [("b_small",), ("b_small", "c_small")], ids=["two_configs", "three_configs"]
+    )
+    def test_sweep_records_a_dead_worker_as_failed(self, tmp_path, capsys, monkeypatch, healthy):
         cfg_dir = tmp_path / "cfgs"
         cfg_dir.mkdir()
         (cfg_dir / "a_dies.cfg").write_text(SMALL_RUN + "seed = 1\n")
-        (cfg_dir / "b_small.cfg").write_text(SMALL_RUN)
+        for name in healthy:
+            (cfg_dir / f"{name}.cfg").write_text(SMALL_RUN)
         real = anyprune.cli._execute
+        broken = tmp_path / "broken"
 
         def die_at_seed_1(config, outdir):
             if config.seed == 1:
+                broken.touch()
                 os._exit(1)
+            if not broken.exists():  # in the first pool: wait to be taken down with it
+                time.sleep(60)
             return real(config, outdir)
 
         monkeypatch.setattr("anyprune.cli._execute", die_at_seed_1)
         out = tmp_path / "out"
         assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "2"]) == 2
-        assert not (out / "a_dies").exists()
-        lines = capsys.readouterr().out.splitlines()
-        assert f"failed  {cfg_dir / 'a_dies.cfg'}: worker process died" in lines
-        # the other job finished before the pool broke, or was taken down with it
-        finished = lines[-1] == f"ok      {cfg_dir / 'b_small.cfg'} -> {out / 'b_small'}"
-        assert finished or lines[-1] == f"failed  {cfg_dir / 'b_small.cfg'}: worker process died"
-        assert lines[-3] == f"sweep: {int(finished)} of 2 configs finished"
-        assert not finished or (out / "b_small" / "summary.json").exists()
+        # the healthy jobs the broken pool took down ran again, alone, and finished
+        assert capsys.readouterr().out.splitlines()[-2 - len(healthy):] == [
+            f"sweep: {len(healthy)} of {len(healthy) + 1} configs finished",
+            f"failed  {cfg_dir / 'a_dies.cfg'}: worker process died",
+        ] + [f"ok      {cfg_dir / f'{name}.cfg'} -> {out / name}" for name in healthy]
+        assert sorted(os.listdir(out)) == list(healthy)  # no temporary directory is left
+        for name in healthy:
+            assert (out / name / "summary.json").exists()
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
