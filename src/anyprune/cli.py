@@ -14,7 +14,7 @@ from .config import parse_config, run_id
 from .errors import AnypruneError, ConfigError
 from .harness import run
 from .kernels import blas_threads
-from .reporting import check_run_dir, emit_svg_from_dir, pruner_label, write_run_dir
+from .reporting import check_run_dir, emit_svg_from_dir, pruner_label, remove_boxes, write_run_dir
 
 
 def _describe(exc):
@@ -64,7 +64,7 @@ def _pooled_outcome(future, fn, job):
     try:
         return future.result()
     except concurrent.futures.process.BrokenProcessPool:
-        pass
+        remove_boxes(job[2])  # the pool can have killed the job mid-write
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
             return alone.submit(fn, job).result()

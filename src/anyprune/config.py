@@ -27,7 +27,7 @@ PRUNERS = ("snip", "grasp", "magnitude", "random")
 REPLAY_MODES = ("full", "none")
 LR_MODES = ("multistep_m1_only", "cyclic_every_mt")
 MODELS = ("mlp", "convnet")
-DATASETS = ("idx", "csv", "synthetic_blobs", "synthetic_spirals")
+DATASETS = ("idx", "csv", "synthetic_blobs")
 
 
 _REQUIRED = object()
@@ -65,15 +65,14 @@ def _is_pruned(r):
     return r["variant"] != "baseline"
 
 
-def _when(key, *values):
-    return lambda r: r[key] in values
+def _when(key, value):
+    return lambda r: r[key] == value
 
 
 _STEERING = ("variant", "model", "dataset")  # the keys that ``applies`` reads
 _MLP, _CONVNET = _when("model", "mlp"), _when("model", "convnet")
 _IDX, _CSV = _when("dataset", "idx"), _when("dataset", "csv")
-_BLOBS, _SPIRALS = _when("dataset", "synthetic_blobs"), _when("dataset", "synthetic_spirals")
-_SYNTHETIC = _when("dataset", "synthetic_blobs", "synthetic_spirals")
+_BLOBS = _when("dataset", "synthetic_blobs")
 
 
 def _from_seed(r):
@@ -81,8 +80,7 @@ def _from_seed(r):
 
 
 def _default_test_per_class(r):
-    per_class = r["blob_per_class"] if r["dataset"] == "synthetic_blobs" else r["spiral_per_class"]
-    return max(1, per_class // 5)
+    return max(1, r["blob_per_class"] // 5)
 
 
 def _one_of(choices):
@@ -158,10 +156,7 @@ class RunConfig:
     blob_per_class: int | None = _key(_parse_int, 200, _BLOBS, _at_least(1))
     blob_dim: int | None = _key(_parse_int, 16, _BLOBS, _at_least(1))
     blob_noise: float | None = _key(_parse_float, 0.5, _BLOBS, _at_least(0))
-    spiral_classes: int | None = _key(_parse_int, 3, _SPIRALS, _at_least(2))
-    spiral_per_class: int | None = _key(_parse_int, 200, _SPIRALS, _at_least(1))
-    spiral_noise: float | None = _key(_parse_float, 0.1, _SPIRALS, _at_least(0))
-    test_per_class: int | None = _key(_parse_int, _default_test_per_class, _SYNTHETIC, _at_least(1))
+    test_per_class: int | None = _key(_parse_int, _default_test_per_class, _BLOBS, _at_least(1))
     seed: int = _key(_parse_int, 0, valid=_at_least(0))
     seed_partition: int = _key(_parse_int, _from_seed, valid=_at_least(0))
     seed_init: int = _key(_parse_int, _from_seed, valid=_at_least(0))

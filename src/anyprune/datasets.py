@@ -3,8 +3,8 @@
 A :class:`Dataset` bundles a training pool with a held-out test set and counts
 its own classes; features are [N, d] float64 with the image shape kept for
 convolutional models. Sources: IDX binary files (big-endian, ubyte), CSV with a
-header, and two seeded synthetic families (Gaussian blobs, spirals). A small
-digit-glyph generator exists for producing self-contained IDX fixtures.
+header, and one seeded synthetic family (Gaussian blobs). A small digit-glyph
+generator exists for producing self-contained IDX fixtures.
 """
 
 import csv
@@ -20,7 +20,6 @@ from .rng import (
     STREAM_BLOBS,
     STREAM_CENTERS,
     STREAM_DIGITS,
-    STREAM_SPIRALS,
     STREAM_TEST_SPLIT,
     rng_from,
     round_half_up,
@@ -67,35 +66,20 @@ def _draw_classes(stream, seed, class_count, per_class, draw):
     return x, np.repeat(np.arange(class_count, dtype=np.int64), per_class)
 
 
-def _synthetic(stream, seed, class_count, per_class, test_per_class, input_shape, draw):
-    """A Dataset whose training rows are keyed by ``seed`` and test rows by ``seed + 1``."""
+def gen_blobs(class_count, per_class, dim, noise_sigma, seed, test_per_class):
+    """Isotropic Gaussian blobs around fixed per-class centers."""
     if class_count < 2:
         raise DataError(f"need at least 2 classes, got {class_count}")
     if per_class < 1:
         raise DataError(f"per_class must be >= 1, got {per_class}")
-    x, y = _draw_classes(stream, seed, class_count, per_class, draw)
-    xt, yt = _draw_classes(stream, seed + 1, class_count, test_per_class, draw)
-    return Dataset(x, y, xt, yt, input_shape)
+    centers = blob_centers(class_count, dim)
 
-
-def gen_blobs(class_count, per_class, dim, noise_sigma, seed, test_per_class):
-    """Isotropic Gaussian blobs around fixed per-class centers."""
-    def draw(g, c, n):  # the centers are redrawn per class so a bad count fails the check first
-        return blob_centers(class_count, dim)[c] + noise_sigma * g.standard_normal((n, dim))
-
-    return _synthetic(STREAM_BLOBS, seed, class_count, per_class, test_per_class, (dim,), draw)
-
-
-def gen_spirals(class_count, per_class, noise_sigma, seed, test_per_class):
-    """Interleaved planar spirals, one arm per class."""
     def draw(g, c, n):
-        t = np.sort(g.random(n))
-        radius = 0.3 + 2.7 * t
-        angle = 2.0 * np.pi * (c / class_count + 1.25 * t)
-        pts = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-        return pts + noise_sigma * g.standard_normal((n, 2))
+        return centers[c] + noise_sigma * g.standard_normal((n, dim))
 
-    return _synthetic(STREAM_SPIRALS, seed, class_count, per_class, test_per_class, (2,), draw)
+    x, y = _draw_classes(STREAM_BLOBS, seed, class_count, per_class, draw)
+    xt, yt = _draw_classes(STREAM_BLOBS, seed + 1, class_count, test_per_class, draw)
+    return Dataset(x, y, xt, yt, (dim,))
 
 
 # 5x7 glyph rows for digits 0-9; '#' marks an on pixel.

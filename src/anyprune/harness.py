@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import config_hash, run_id
-from .datasets import Dataset, gen_blobs, gen_spirals, load_csv, load_idx, split_test
+from .datasets import Dataset, gen_blobs, load_csv, load_idx, split_test
 from .errors import AnypruneError, DataError, FormatError, NumericError
 from .kernels import blas_threads
 from .metrics import error_count, generalization_gap
@@ -198,11 +198,6 @@ def dataset_for_config(config):
         return gen_blobs(
             config.blob_classes, config.blob_per_class, config.blob_dim,
             config.blob_noise, config.seed_partition, config.test_per_class,
-        )
-    if config.dataset == "synthetic_spirals":
-        return gen_spirals(
-            config.spiral_classes, config.spiral_per_class, config.spiral_noise,
-            config.seed_partition, config.test_per_class,
         )
     if config.dataset == "idx":
         x, y, shape = load_idx(config.idx_train_images, config.idx_train_labels)

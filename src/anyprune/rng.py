@@ -20,7 +20,6 @@ STREAM_SHUFFLE = 104
 STREAM_PI = 105
 STREAM_SCORE = 106
 STREAM_BLOBS = 107
-STREAM_SPIRALS = 108
 STREAM_TEST_SPLIT = 109
 STREAM_CENTERS = 110
 STREAM_DIGITS = 111

@@ -434,22 +434,6 @@ class TestGlobalIter:
 
 
 class TestOtherSourcesAndPruners:
-    def test_spiral_dataset_run_completes(self):
-        cfg = parse_config(
-            """
-            variant = app_default
-            pruner = magnitude
-            tau = 2.0
-            megabatches = 2
-            dataset = synthetic_spirals
-            spiral_per_class = 50
-            epochs = 2
-            mlp_hidden = 16
-            """
-        )
-        log = run(cfg)
-        assert len(log.megabatches) == 2
-
     def test_convnet_run_on_idx_digits(self, tmp_path):
         from anyprune.datasets import gen_digits, write_idx
 

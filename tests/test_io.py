@@ -27,7 +27,6 @@ from anyprune.datasets import (
     blob_centers,
     gen_blobs,
     gen_digits,
-    gen_spirals,
     load_csv,
     load_idx,
     split_test,
@@ -49,6 +48,7 @@ from anyprune.pruning import SparsityMask
 from anyprune.reporting import (
     CURVES_COLUMNS,
     RUN_ARTIFACTS,
+    remove_boxes,
     write_run_dir,
     write_summary_json,
 )
@@ -102,7 +102,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("variant = baseline\nmegabatches = 2\ndataset = synthetic_blobs\ntau = 2\n")
         with pytest.raises(ConfigError):
-            parse_config(MINIMAL + "spiral_noise = 0.5\n")
+            parse_config(MINIMAL + "csv_path = data.csv\n")
 
     @pytest.mark.parametrize(
         "text, key, steering",
@@ -182,12 +182,18 @@ class TestParseConfig:
             parse_config(str(tmp_path / "x=y.cfg"))
 
 
-SPIRALS = "variant = baseline\nmegabatches = 2\ndataset = synthetic_spirals\n"
 CSV = (
     "variant = baseline\nmegabatches = 2\ndataset = csv\n"
     "csv_path = data.csv\ncsv_label_column = label\n"
 )
 CONVNET = MINIMAL + "model = convnet\n"
+# a config written for the deleted synthetic-spirals source fails naming the key
+REMOVED_SPIRALS = [
+    (MINIMAL.replace("synthetic_blobs", "synthetic_spirals"), "dataset"),
+    (MINIMAL + "spiral_classes = 3\n", "spiral_classes"),
+    (MINIMAL + "spiral_per_class = 200\n", "spiral_per_class"),
+    (MINIMAL + "spiral_noise = 0.1\n", "spiral_noise"),
+]
 
 
 @pytest.mark.parametrize("text, key", [
@@ -227,9 +233,7 @@ CONVNET = MINIMAL + "model = convnet\n"
     (MINIMAL + "blob_per_class = 0\n", "blob_per_class"),
     (MINIMAL + "blob_dim = 0\n", "blob_dim"),
     (MINIMAL + "blob_noise = -1\n", "blob_noise"),
-    (SPIRALS + "spiral_classes = 1\n", "spiral_classes"),
-    (SPIRALS + "spiral_per_class = 0\n", "spiral_per_class"),
-    (SPIRALS + "spiral_noise = -1\n", "spiral_noise"),
+    *REMOVED_SPIRALS,
     (MINIMAL + "test_per_class = 0\n", "test_per_class"),
 ])
 def test_out_of_range_value_rejected_naming_its_key(text, key):
@@ -247,7 +251,6 @@ FLOAT_KEYS = {
         MINIMAL,
     ),
     "test_fraction": CSV,
-    "spiral_noise": SPIRALS,
 }
 
 
@@ -402,13 +405,6 @@ class TestSynthetic:
             sgd_momentum_step(model.params, grads, state, SparsityMask({}))
         acc = float((model.predict(ds.x) == ds.y).mean())
         assert acc >= 0.99
-
-    def test_spirals_shapes_and_determinism(self):
-        a = gen_spirals(3, 40, 0.05, seed=2, test_per_class=8)
-        assert a.x.shape == (120, 2)
-        assert a.class_count == 3
-        b = gen_spirals(3, 40, 0.05, seed=2, test_per_class=8)
-        np.testing.assert_array_equal(a.x, b.x)
 
     def test_each_class_is_drawn_from_its_own_keyed_stream(self):
         # training rows are keyed by the seed, test rows by seed + 1
@@ -598,6 +594,18 @@ class TestReporting:
         assert sorted(os.listdir(tmp_path)) == ["link", "real"]
         assert (real / "summary.json").read_bytes() == (outdir / "summary.json").read_bytes()
 
+    def test_remove_boxes_keeps_look_alikes(self, tmp_path):
+        (tmp_path / "b_slow").mkdir()
+        boxes = {".b_slow.empty": (), ".b_slow.half": ("b_slow",), ".b_slow.swap": ("b_slow", "old")}
+        kept = {".b_slow.notes": ("notes.txt",), ".b_slow.more": ("b_slow", "notes.txt"), ".b.other": ("b",)}
+        for box, entries in {**boxes, **kept}.items():
+            (tmp_path / box).mkdir()
+            for entry in entries:
+                (tmp_path / box / entry).mkdir()
+        (tmp_path / ".b_slow.file").write_text("not a box")
+        remove_boxes(tmp_path / "b_slow")
+        assert sorted(os.listdir(tmp_path)) == sorted(["b_slow", ".b_slow.file", *kept])
+
     @pytest.mark.parametrize("foreign", ["notes.txt", ".git"])
     def test_directory_with_other_files_is_never_replaced(self, small_run_dir, tmp_path, foreign):
         _, log = small_run_dir
@@ -655,6 +663,16 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("variant = nope\nmegabatches = 2\ndataset = synthetic_blobs\n")
         assert main(["run", str(bad)]) == 1
+
+    @pytest.mark.parametrize("text, key", REMOVED_SPIRALS, ids=[k for _, k in REMOVED_SPIRALS])
+    def test_removed_spirals_config_exits_1_naming_the_key(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "spirals.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        reason = "must be one of " if key == "dataset" else "unknown key(s): "
+        assert f"config error: {key}: {reason}" in capsys.readouterr().err
 
     def test_bad_conv_value_exits_1_naming_the_key(self, tmp_path, capsys):
         cfg = tmp_path / "conv.cfg"
@@ -900,39 +918,21 @@ class TestCli:
         assert not out.exists()
         assert "megabatch 1, prune: non-finite gradients in hvp_fd" in capsys.readouterr().err
 
-    def test_artifacts_identical_at_one_and_two_blas_threads(self, tmp_path):
-        # matmuls large enough that OpenBLAS splits them when given two threads
-        cfg = tmp_path / "wide.cfg"
+    @pytest.mark.parametrize("minibatch, hidden", [
+        # wide: matmuls large enough that OpenBLAS splits them when given two threads
+        (128, "512,256"),
+        # desk: a step under harness.SMALL_STEP_MACS, so the run sets one thread itself
+        (32, "256,128"),
+    ], ids=["wide", "desk"])
+    def test_artifacts_identical_at_one_and_two_blas_threads(self, tmp_path, minibatch, hidden):
+        cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "variant = app_default\npruner = snip\ntau = 4.5\nmegabatches = 3\n"
-            "epochs = 2\nminibatch = 128\nmodel = mlp\nmlp_hidden = 512,256\n"
+            f"epochs = 2\nminibatch = {minibatch}\nmodel = mlp\nmlp_hidden = {hidden}\n"
             "dataset = synthetic_blobs\nblob_dim = 64\n"
         )
         # the child imports the same anyprune as this process, from a checkout
         # or an install: the package's directory goes first on PYTHONPATH
-        pkg_root = os.path.dirname(os.path.dirname(anyprune.__file__))
-        pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
-            done = subprocess.run(
-                [sys.executable, "-m", "anyprune.cli", "run", str(cfg), "--out", str(out)],
-                env=env, capture_output=True, text=True,
-            )
-            assert done.returncode == 0, done.stderr
-            outs.append(out)
-        for name in ("summary.json", "curves.csv", "predictions.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-
-    def test_desk_sized_artifacts_identical_at_one_and_two_blas_threads(self, tmp_path):
-        # a step under harness.SMALL_STEP_MACS: the run sets one thread itself
-        cfg = tmp_path / "desk.cfg"
-        cfg.write_text(
-            "variant = app_default\npruner = snip\ntau = 4.5\nmegabatches = 3\n"
-            "epochs = 2\nminibatch = 32\nmodel = mlp\nmlp_hidden = 256,128\n"
-            "dataset = synthetic_blobs\nblob_dim = 64\n"
-        )
         pkg_root = os.path.dirname(os.path.dirname(anyprune.__file__))
         pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
         outs = []
@@ -1016,6 +1016,44 @@ class TestCli:
         assert sorted(os.listdir(out)) == list(healthy)  # no temporary directory is left
         for name in healthy:
             assert (out / name / "summary.json").exists()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched _execute reaches the workers only when they are forked",
+    )
+    def test_job_taken_down_mid_write_leaves_no_temporary_box(self, tmp_path, capsys, monkeypatch):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a_dies.cfg").write_text(SMALL_RUN + "seed = 1\n")
+        (cfg_dir / "b_slow.cfg").write_text(SMALL_RUN)
+        real_execute, real_write = anyprune.cli._execute, anyprune.reporting._write_artifacts
+        writing = tmp_path / "writing"
+
+        def die_once_b_slow_writes(config, outdir):
+            if config.seed == 1:
+                deadline = time.monotonic() + 60
+                while not writing.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(1)
+            return real_execute(config, outdir)
+
+        def stall_first_write(log, outdir):
+            if not writing.exists():  # in the first pool: wait, mid-write, to be taken down
+                writing.touch()
+                time.sleep(60)
+            return real_write(log, outdir)
+
+        monkeypatch.setattr("anyprune.cli._execute", die_once_b_slow_writes)
+        monkeypatch.setattr("anyprune.reporting._write_artifacts", stall_first_write)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "2"]) == 2
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "sweep: 1 of 2 configs finished",
+            f"failed  {cfg_dir / 'a_dies.cfg'}: worker process died",
+            f"ok      {cfg_dir / 'b_slow.cfg'} -> {out / 'b_slow'}",
+        ]
+        assert os.listdir(out) == ["b_slow"]
+        assert (out / "b_slow" / "summary.json").exists()
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

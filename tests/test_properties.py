@@ -189,10 +189,8 @@ def config_texts(draw):
         pairs["csv_path"] = draw(_PATH)
         pairs["csv_label_column"] = draw(_PATH)
         pairs["test_fraction"] = draw(st.floats(1e-3, 0.999))
-    elif dataset == "synthetic_blobs":
-        pairs["blob_noise"] = draw(st.floats(0.0, 5.0))
     else:
-        pairs["spiral_per_class"] = draw(st.integers(1, 500))
+        pairs["blob_noise"] = draw(st.floats(0.0, 5.0))
     return "".join(f"{k} = {v}\n" for k, v in pairs.items())
 
 
@@ -234,9 +232,6 @@ _CANDIDATES = {
     "blob_per_class": (0, 1, 5, 20),
     "blob_dim": (0, 1, 4),
     "blob_noise": (-0.1, 0.0, 0.8),
-    "spiral_classes": (1, 2, 3),
-    "spiral_per_class": (0, 1, 5, 20),
-    "spiral_noise": (-0.1, 0.0, 0.2),
     "test_per_class": (None, 0, 1, 3),
     "seed": (None, -1, 0, 3),
     "seed_partition": (None, -1, 0, 3),
