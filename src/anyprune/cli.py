@@ -1,11 +1,10 @@
 """Command-line interface: run one config, sweep a directory, or re-plot a run.
 
-Exit codes: 0 success, 1 configuration error, 2 any other failure.
+Exit codes: 0 success, 1 configuration error, 2 any other failure. A pooled
+sweep runs each job in a process of its own, so a dying process fails only its job.
 """
 
 import argparse
-import concurrent.futures
-import functools
 import os
 import sys
 import traceback
@@ -14,7 +13,7 @@ from .config import parse_config, run_id
 from .errors import AnypruneError, ConfigError
 from .harness import run
 from .kernels import blas_threads
-from .reporting import check_run_dir, emit_svg_from_dir, pruner_label, remove_boxes, write_run_dir
+from .reporting import check_run_dir, emit_svg_from_dir, pruner_label, write_run_dir
 
 
 def _describe(exc):
@@ -58,18 +57,35 @@ def _sweep_one(job, threads=None):
     return None
 
 
-def _pooled_outcome(future, fn, job):
-    """A pooled job's result. A dead worker breaks the whole pool, so a job it took
-    down runs once more, alone; the job fails only if its own worker dies."""
-    try:
-        return future.result()
-    except concurrent.futures.process.BrokenProcessPool:
-        remove_boxes(job[2])  # the pool can have killed the job mid-write
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as alone:
-            return alone.submit(fn, job).result()
-    except concurrent.futures.process.BrokenProcessPool:
-        return "worker process died"
+def _send_outcome(job, threads, conn):  # the body of a pooled job's process
+    conn.send(_sweep_one(job, threads))
+
+
+def _sweep_pooled(jobs, workers):
+    """Run each job in a process of its own, ``workers`` at most at once; returns their errors."""
+    import multiprocessing.connection  # only a pooled sweep pays for the import
+
+    threads = max(1, (os.cpu_count() or 1) // workers)  # an MLP job's share of the cores
+    errors = [None] * len(jobs)
+    running = {}  # read end of a job's pipe -> (job index, its process)
+    pending = list(enumerate(jobs))
+    while pending or running:
+        while pending and len(running) < workers:
+            i, job = pending.pop(0)
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_send_outcome, args=(job, threads, send))
+            proc.start()
+            send.close()  # the child holds the only write end, so its death reads as EOF
+            running[recv] = (i, proc)
+        for recv in multiprocessing.connection.wait(list(running)):
+            i, proc = running.pop(recv)
+            try:
+                errors[i] = recv.recv()
+            except EOFError:
+                errors[i] = "worker process died"
+            recv.close()
+            proc.join()
+    return errors
 
 
 def _cmd_sweep(args):
@@ -95,16 +111,8 @@ def _cmd_sweep(args):
         writers[outdir] = path
         check_run_dir(outdir)
         jobs.append((path, parse_config(path, seed_override=args.seed), outdir))
-    # the pool starts every worker up front, so start no more than there are jobs
     workers = min(args.parallel, len(jobs))
-    if workers > 1:
-        # an MLP job gets its worker's share of the cores as BLAS threads
-        share = functools.partial(_sweep_one, threads=max(1, (os.cpu_count() or 1) // workers))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(share, job) for job in jobs]
-        errors = [_pooled_outcome(f, share, job) for f, job in zip(futures, jobs)]
-    else:
-        errors = [_sweep_one(job) for job in jobs]
+    errors = _sweep_pooled(jobs, workers) if workers > 1 else [_sweep_one(job) for job in jobs]
     failed = sum(e is not None for e in errors)
     print(f"sweep: {len(jobs) - failed} of {len(jobs)} configs finished")
     for (path, _, outdir), error in zip(jobs, errors):

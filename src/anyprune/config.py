@@ -193,7 +193,7 @@ def parse_config(source, seed_override=None):
     text = source
     if not isinstance(source, str) or "\n" not in source:
         try:
-            with open(source, encoding="utf-8") as f:
+            with open(source, encoding="utf-8-sig") as f:
                 text = f.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None

@@ -9,7 +9,6 @@ so that equivalent runs compare byte-equal on their summaries.
 
 import csv
 import dataclasses
-import glob
 import io
 import itertools
 import json
@@ -150,14 +149,6 @@ def write_run_dir(log, outdir):
     finally:
         shutil.rmtree(box, ignore_errors=True)  # a failed cleanup must not fail a finished write
     return summary
-
-
-def remove_boxes(outdir):
-    """Remove the boxes a killed ``write_run_dir`` left beside ``outdir``; keep any look-alike."""
-    parent, name = os.path.split(os.path.realpath(outdir))
-    for box in glob.glob(os.path.join(glob.escape(parent), glob.escape(f".{name}.") + "*")):
-        if os.path.isdir(box) and set(os.listdir(box)) <= {name, "old"}:
-            shutil.rmtree(box, ignore_errors=True)
 
 
 def _write_artifacts(log, outdir):

@@ -1,6 +1,5 @@
 """Config parsing, dataset ingestion, serialization, and the CLI surface."""
 
-import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
@@ -48,7 +47,6 @@ from anyprune.pruning import SparsityMask
 from anyprune.reporting import (
     CURVES_COLUMNS,
     RUN_ARTIFACTS,
-    remove_boxes,
     write_run_dir,
     write_summary_json,
 )
@@ -594,18 +592,6 @@ class TestReporting:
         assert sorted(os.listdir(tmp_path)) == ["link", "real"]
         assert (real / "summary.json").read_bytes() == (outdir / "summary.json").read_bytes()
 
-    def test_remove_boxes_keeps_look_alikes(self, tmp_path):
-        (tmp_path / "b_slow").mkdir()
-        boxes = {".b_slow.empty": (), ".b_slow.half": ("b_slow",), ".b_slow.swap": ("b_slow", "old")}
-        kept = {".b_slow.notes": ("notes.txt",), ".b_slow.more": ("b_slow", "notes.txt"), ".b.other": ("b",)}
-        for box, entries in {**boxes, **kept}.items():
-            (tmp_path / box).mkdir()
-            for entry in entries:
-                (tmp_path / box / entry).mkdir()
-        (tmp_path / ".b_slow.file").write_text("not a box")
-        remove_boxes(tmp_path / "b_slow")
-        assert sorted(os.listdir(tmp_path)) == sorted(["b_slow", ".b_slow.file", *kept])
-
     @pytest.mark.parametrize("foreign", ["notes.txt", ".git"])
     def test_directory_with_other_files_is_never_replaced(self, small_run_dir, tmp_path, foreign):
         _, log = small_run_dir
@@ -650,6 +636,13 @@ class TestReporting:
         assert meta["variant"] == "app_default"
 
 
+def _wait_for(path):
+    """Poll, for up to 60 s, until ``path`` exists: how two job processes take turns."""
+    deadline = time.monotonic() + 60
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path):
         cfg_path = tmp_path / "a.cfg"
@@ -658,6 +651,14 @@ class TestCli:
         assert main(["run", str(cfg_path), "--out", str(out)]) == 0
         for name in ("summary.json", "curves.csv", "megabatches.csv", "gen_gap.svg"):
             assert (out / name).exists()
+
+    def test_config_with_a_utf8_byte_order_mark_runs_like_the_plain_file(self, tmp_path):
+        plain = pathlib.Path(__file__).parents[1] / "configs" / "app_blobs.cfg"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())  # as Notepad-style editors save it
+        out = tmp_path / "out"
+        assert main(["run", str(bom), "--out", str(out)]) == 0
+        assert (out / "config.resolved").read_text() == resolved_text(parse_config(plain))
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -995,20 +996,16 @@ class TestCli:
         for name in healthy:
             (cfg_dir / f"{name}.cfg").write_text(SMALL_RUN)
         real = anyprune.cli._execute
-        broken = tmp_path / "broken"
 
         def die_at_seed_1(config, outdir):
             if config.seed == 1:
-                broken.touch()
                 os._exit(1)
-            if not broken.exists():  # in the first pool: wait to be taken down with it
-                time.sleep(60)
             return real(config, outdir)
 
         monkeypatch.setattr("anyprune.cli._execute", die_at_seed_1)
         out = tmp_path / "out"
         assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "2"]) == 2
-        # the healthy jobs the broken pool took down ran again, alone, and finished
+        # each healthy job finished in a process of its own
         assert capsys.readouterr().out.splitlines()[-2 - len(healthy):] == [
             f"sweep: {len(healthy)} of {len(healthy) + 1} configs finished",
             f"failed  {cfg_dir / 'a_dies.cfg'}: worker process died",
@@ -1021,39 +1018,75 @@ class TestCli:
         multiprocessing.get_start_method() != "fork",
         reason="the patched _execute reaches the workers only when they are forked",
     )
-    def test_job_taken_down_mid_write_leaves_no_temporary_box(self, tmp_path, capsys, monkeypatch):
+    def test_each_healthy_job_runs_once_when_another_jobs_process_dies(
+        self, tmp_path, capsys, monkeypatch
+    ):
         cfg_dir = tmp_path / "cfgs"
         cfg_dir.mkdir()
         (cfg_dir / "a_dies.cfg").write_text(SMALL_RUN + "seed = 1\n")
-        (cfg_dir / "b_slow.cfg").write_text(SMALL_RUN)
-        real_execute, real_write = anyprune.cli._execute, anyprune.reporting._write_artifacts
-        writing = tmp_path / "writing"
+        healthy = ("b_small", "c_small")
+        for name in healthy:
+            (cfg_dir / f"{name}.cfg").write_text(SMALL_RUN)
+        real = anyprune.cli._execute
+        calls = tmp_path / "calls"
+        calls.mkdir()
 
-        def die_once_b_slow_writes(config, outdir):
+        def die_beside_b_small(config, outdir):  # runs in a job's process, so it counts in files
             if config.seed == 1:
-                deadline = time.monotonic() + 60
-                while not writing.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
+                _wait_for(calls / "b_small")
+                os._exit(1)
+            with open(calls / os.path.basename(outdir), "a") as f:
+                f.write("call\n")
+            time.sleep(0.5)  # b_small is still running when a_dies's process dies
+            return real(config, outdir)
+
+        monkeypatch.setattr("anyprune.cli._execute", die_beside_b_small)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "2"]) == 2
+        assert capsys.readouterr().out.splitlines()[-4:] == [
+            "sweep: 2 of 3 configs finished",
+            f"failed  {cfg_dir / 'a_dies.cfg'}: worker process died",
+        ] + [f"ok      {cfg_dir / f'{name}.cfg'} -> {out / name}" for name in healthy]
+        assert {name: (calls / name).read_text() for name in healthy} == dict.fromkeys(healthy, "call\n")
+        assert sorted(os.listdir(out)) == list(healthy)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched _execute reaches the workers only when they are forked",
+    )
+    def test_job_dying_while_another_writes_leaves_only_the_writers_run_dir(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a_dies.cfg").write_text(SMALL_RUN + "seed = 1\n")
+        (cfg_dir / "b_writes.cfg").write_text(SMALL_RUN)
+        real_execute, real_write = anyprune.cli._execute, anyprune.reporting._write_artifacts
+        writing, dying = tmp_path / "writing", tmp_path / "dying"
+
+        def die_while_b_writes(config, outdir):
+            if config.seed == 1:
+                _wait_for(writing)
+                dying.touch()
                 os._exit(1)
             return real_execute(config, outdir)
 
-        def stall_first_write(log, outdir):
-            if not writing.exists():  # in the first pool: wait, mid-write, to be taken down
-                writing.touch()
-                time.sleep(60)
+        def write_as_a_dies(log, outdir):
+            writing.touch()
+            _wait_for(dying)
             return real_write(log, outdir)
 
-        monkeypatch.setattr("anyprune.cli._execute", die_once_b_slow_writes)
-        monkeypatch.setattr("anyprune.reporting._write_artifacts", stall_first_write)
+        monkeypatch.setattr("anyprune.cli._execute", die_while_b_writes)
+        monkeypatch.setattr("anyprune.reporting._write_artifacts", write_as_a_dies)
         out = tmp_path / "out"
         assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "2"]) == 2
         assert capsys.readouterr().out.splitlines()[-3:] == [
             "sweep: 1 of 2 configs finished",
             f"failed  {cfg_dir / 'a_dies.cfg'}: worker process died",
-            f"ok      {cfg_dir / 'b_slow.cfg'} -> {out / 'b_slow'}",
+            f"ok      {cfg_dir / 'b_writes.cfg'} -> {out / 'b_writes'}",
         ]
-        assert os.listdir(out) == ["b_slow"]
-        assert (out / "b_slow" / "summary.json").exists()
+        assert os.listdir(out) == ["b_writes"]
+        assert (out / "b_writes" / "summary.json").exists()
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -1164,35 +1197,36 @@ class TestCli:
             assert "--parallel must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sweep_starts_no_more_workers_than_configs(self, tmp_path, monkeypatch):
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched _execute reaches the workers only when they are forked",
+    )
+    @pytest.mark.parametrize("parallel, configs", [(3, 2), (2, 3)])
+    def test_sweep_starts_no_more_workers_than_configs(self, tmp_path, monkeypatch, parallel, configs):
         cfg_dir = tmp_path / "cfgs"
         cfg_dir.mkdir()
-        (cfg_dir / "s1.cfg").write_text(SMALL_RUN)
-        (cfg_dir / "s2.cfg").write_text(SMALL_RUN)
-        pools = []
+        for k in range(configs):
+            (cfg_dir / f"s{k}.cfg").write_text(SMALL_RUN)
+        started, alive_at_start = [], []
 
-        class SerialPool:  # records its arguments and starts no process
-            def __init__(self, **kwargs):
-                pools.append(kwargs)
+        class CountedProcess(multiprocessing.Process):  # counts the job processes still alive
+            def start(self):
+                alive_at_start.append(sum(p.is_alive() for p in started))
+                started.append(self)
+                super().start()
 
-            def __enter__(self):
-                return self
+        def overlap(config, outdir):  # runs in a job's process, so it reports through --out
+            time.sleep(0.2)
+            os.makedirs(outdir)
 
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, job):
-                future = concurrent.futures.Future()
-                future.set_result(fn(job))
-                return future
-
-        ran = []
-        monkeypatch.setattr("anyprune.cli.concurrent.futures.ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr("anyprune.cli._execute", lambda config, outdir: ran.append(outdir))
+        monkeypatch.setattr("multiprocessing.Process", CountedProcess)
+        monkeypatch.setattr("anyprune.cli._execute", overlap)
         out = tmp_path / "out"
-        assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", "3"]) == 0
-        assert pools == [{"max_workers": 2}]
-        assert ran == [str(out / "s1"), str(out / "s2")]
+        assert main(["sweep", str(cfg_dir), "--out", str(out), "--parallel", str(parallel)]) == 0
+        assert len(started) == configs
+        # no job process starts while min(parallel, configs) still run, and that many do overlap
+        assert max(alive_at_start) == min(parallel, configs) - 1
+        assert sorted(os.listdir(out)) == [f"s{k}" for k in range(configs)]
 
 
 # a run that reaches every call below in well under 0.1 s
@@ -1301,11 +1335,13 @@ def test_fault_anywhere_in_a_sweep_reports_the_config_failed_and_leaves_no_dir(
 
 def test_importing_the_cli_loads_no_network_or_mail_module():
     # one such stdlib import once raised every run's peak RSS by about 3.4 MiB
+    # multiprocessing is for pooled sweeps only: at the top of cli it would add 19 modules
     pkg_root = os.path.dirname(os.path.dirname(anyprune.__file__))
     pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
     code = (
         "import sys, anyprune.cli\n"
-        "print([m for m in ('urllib.request', 'http.client', 'email') if m in sys.modules])"
+        "print([m for m in ('urllib.request', 'http.client', 'email', 'multiprocessing', 'socket')\n"
+        "       if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
