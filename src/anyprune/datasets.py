@@ -1,7 +1,8 @@
 """Dataset ingestion and synthetic generators.
 
 A :class:`Dataset` bundles a training pool with a held-out test set and counts
-its own classes; features are [N, d] float64 with the image shape kept for
+its own classes; features are [N, d] float64, or an IDX file's uint8 pixels
+scaled as :meth:`Dataset.rows` fetches them, with the image shape kept for
 convolutional models. Sources: IDX binary files (big-endian, ubyte), CSV with a
 header, and one seeded synthetic family (Gaussian blobs). A small digit-glyph
 generator exists for producing self-contained IDX fixtures.
@@ -31,7 +32,8 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class Dataset:
-    """Train and test splits; ``class_count`` is the largest label in either split plus one."""
+    """Splits of float64 features or IDX uint8 pixels, read via :meth:`rows`; ``class_count`` is
+    the largest label in either split plus one."""
 
     x: np.ndarray
     y: np.ndarray
@@ -45,6 +47,12 @@ class Dataset:
         if any(y.min() < 0 for y in labels):
             raise DataError("labels must be >= 0")
         self.class_count = max((int(y.max()) + 1 for y in labels), default=0)
+
+    def rows(self, idx, test=False):
+        """Float64 rows ``idx`` of the training (or test) split; uint8 pixels come back /255."""
+        x = (self.x_test if test else self.x)[idx]
+        # each quotient is correctly rounded: the bits of scaling the whole file at load
+        return x / 255.0 if x.dtype == np.uint8 else x
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +162,7 @@ def _read_body(f, declared, path):
 
 
 def load_idx(images_path, labels_path):
-    """Load an IDX image/label file pair; pixels scale to [0, 1] by /255."""
+    """Load an IDX image/label file pair: [N, rows*cols] uint8 pixels, int64 labels, shape."""
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path))
         if magic != IDX_IMAGES_MAGIC:
@@ -171,7 +179,7 @@ def load_idx(images_path, labels_path):
         raise FormatError(f"image count {count} != label count {lcount}")
     if count == 0:
         raise DataError(f"{images_path}: holds no images")
-    x = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
+    x = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     y = np.frombuffer(lraw, dtype=np.uint8).astype(np.int64)
     return x, y, (1, rows, cols)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .config import config_hash, run_id
 from .datasets import Dataset, gen_blobs, load_csv, load_idx, split_test
 from .errors import AnypruneError, DataError, FormatError, NumericError
-from .kernels import blas_threads
+from .kernels import blas_threads, pin_malloc_thresholds
 from .metrics import error_count, generalization_gap
 from .models import ModelSpec, build_model
 from .optim import OptimState, sgd_momentum_step
@@ -162,7 +162,7 @@ def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global
         loss_sum = 0.0
         for start in range(0, order.size, config.minibatch):
             batch = order[start : start + config.minibatch]
-            xb, yb = dataset.x[batch], dataset.y[batch]
+            xb, yb = dataset.rows(batch), dataset.y[batch]
             with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
                 step_loss, grads, logits = model.loss_and_grads(xb, yb)
             global_iter += 1
@@ -174,7 +174,7 @@ def train_megabatch(model, mask, dataset, view, config, t, epochs, optim, global
             getattr(observer, "on_step", _no_hook)(t, epoch, model, optim, mask)
         with np.errstate(over="ignore", invalid="ignore"):
             val_correct, val_total, val_loss = evaluate(
-                model, dataset.x[view.val_idx], dataset.y[view.val_idx]
+                model, dataset.rows(view.val_idx), dataset.y[view.val_idx]
             )
         _check_loss("validation", val_loss, epoch, global_iter)
         rec = EpochRecord(
@@ -238,7 +238,7 @@ def _prune_step(config, dataset, stream, view, model, mask, t, delta):
                 f"pi_fraction = {config.pi_fraction} of the view's "
                 f"{source.train_idx.size} training samples is an empty scoring set"
             )
-        x, y = dataset.x[pi_idx], dataset.y[pi_idx]
+        x, y = dataset.rows(pi_idx), dataset.y[pi_idx]
     with np.errstate(over="ignore", invalid="ignore"):  # a kept weight's NaN score raises
         scores = selection_scores(config.pruner, model, mask, x, y, (config.seed_pruning, t))
     keep = keep_count(delta, mask.size)
@@ -271,9 +271,11 @@ def run(config, observer=None):
     mask)`` once the best checkpoint is restored and evaluated. ``mask`` is
     always a SparsityMask; the baseline's keeps every weight and never prunes.
     A package error raised inside megabatch ``t`` is raised again as its own
-    class, prefixed ``megabatch t, <phase>:`` (train, prune or eval).
+    class, prefixed ``megabatch t, <phase>:`` (train, prune or eval). It first
+    pins the process's malloc thresholds (``kernels.pin_malloc_thresholds``).
     """
     started = time.perf_counter()
+    pin_malloc_thresholds()
     dataset = dataset_for_config(config)
     stream = build_stream(
         dataset, config.megabatches, config.val_fraction,
@@ -339,7 +341,7 @@ def run(config, observer=None):
                         events.append(("prune", detail))
 
                 phase = "eval"
-                preds = model.predict(dataset.x_test)
+                preds = model.predict(dataset.rows(slice(None), test=True))
                 errors = error_count(preds, dataset.y_test)
                 gap = generalization_gap(best_rec.train_acc, best_rec.val_acc)
                 log.megabatches.append(MegabatchRecord(

@@ -53,6 +53,23 @@ def _openblas():
     return None
 
 
+# (mallopt parameter, bytes) that a run pins: glibc's M_MMAP_THRESHOLD (-3) at its largest
+# value, and M_TRIM_THRESHOLD (-1). Left dynamic, both rise only when a large mapped block is
+# freed; until then a step's buffers were mapped, or trimmed off the heap top, every step.
+MALLOC_PIN = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+@functools.cache
+def pin_malloc_thresholds():
+    """Set ``MALLOC_PIN`` in this process through libc's ``mallopt``; False where there is none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(param, value) for param, value in MALLOC_PIN])
+
+
 @contextlib.contextmanager
 def blas_threads(n):
     """Run the body at ``n`` OpenBLAS threads, then restore the count; None leaves it."""

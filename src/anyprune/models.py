@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .errors import ModelSpecError, ShapeError
+from .errors import DataError, ModelSpecError, ShapeError
 from .kernels import BLOCK_IMAGES, conv2d_output_hw
 
 # rows per forward call when predicting or evaluating a whole set (see Model.row_slices)
@@ -93,8 +93,11 @@ class Model:
         """Logits [batch, C] for a [batch, d] (or image-shaped) input array.
 
         Image-shaped input is in (c, h, w) order, as ``spec.input_shape``.
+        Integer input is refused: unscaled pixels would train silently.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)  # the input tensor converts it to float64
+        if np.issubdtype(x.dtype, np.integer):
+            raise DataError(f"model input is {x.dtype}; scale it to float first (Dataset.rows)")
         d = int(np.prod(self.spec.input_shape))
         if int(np.prod(x.shape[1:])) != d:
             raise ShapeError(
@@ -151,7 +154,7 @@ class Model:
 
     def predict(self, x):
         """Argmax class indices; ties resolve to the smallest class index."""
-        return self.sliced_forward(np.asarray(x, dtype=np.float64))[0]
+        return self.sliced_forward(x)[0]
 
     def snapshot(self):
         return {name: p.data.copy() for name, p in self.params.items()}

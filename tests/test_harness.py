@@ -551,6 +551,82 @@ def test_a_run_with_no_settable_blas_count_writes_the_same_artifacts(tmp_path, m
         assert (tmp_path / "rule" / name).read_bytes() == (tmp_path / "inert" / name).read_bytes()
 
 
+# One run of a config in a fresh interpreter: it writes the run directory and
+# prints the run's minor page faults per optimizer step and whether the run
+# pinned the malloc thresholds. With "inert", finding libc fails, so the pin
+# does nothing.
+_MALLOC_CHILD = """
+import ctypes, json, resource, sys
+from anyprune import harness, kernels, reporting
+from anyprune.config import parse_config
+
+if sys.argv[3] == "inert":
+    real_cdll = ctypes.CDLL
+
+    def no_libc(name, *args, **kwargs):
+        if name is None:
+            raise OSError("no libc")
+        return real_cdll(name, *args, **kwargs)
+
+    ctypes.CDLL = no_libc
+config = parse_config(sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+log = harness.run(config)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+reporting.write_run_dir(log, sys.argv[2])
+print(json.dumps({"per_step": faults / log.epochs[-1].global_iter, "pinned": kernels.pin_malloc_thresholds()}))
+"""
+
+
+def _malloc_child(cfg, out, mode):
+    src = pathlib.Path(harness.__file__).parents[1]  # the copy of the package under test
+    done = subprocess.run(
+        [sys.executable, "-c", _MALLOC_CHILD, str(cfg), str(out), mode],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def small_idx_convnet(tmp_path_factory):
+    """A 400-image IDX convnet config, and the result of its pinned run in a child."""
+    from anyprune.datasets import gen_digits, write_idx
+
+    # the data is written here, not in the child: freeing the generator's large
+    # temporaries there would raise glibc's dynamic thresholds and hide the pin
+    root = tmp_path_factory.mktemp("small_idx_convnet")
+    for part, per_class, seed in (("train", 40, 1), ("test", 10, 2)):
+        x, y, shape = gen_digits(per_class=per_class, seed=seed, side=14)
+        write_idx(x, y, root / f"{part}-images", root / f"{part}-labels", shape)
+    cfg = root / "conv.cfg"
+    cfg.write_text(
+        "variant = app_default\npruner = snip\ntau = 2\nmegabatches = 2\nepochs = 5\n"
+        "lr_gamma = 1.0\ndataset = idx\nmodel = convnet\nconv_channels = 8,16\n"
+        "conv_kernel = 3\nconv_padding = 1\n"
+        + "".join(f"idx_{p}_{k} = {root / f'{p}-{k}'}\n"
+                  for p in ("train", "test") for k in ("images", "labels"))
+    )
+    return cfg, root / "pinned", _malloc_child(cfg, root / "pinned", "pinned")
+
+
+def test_a_small_convnet_step_stays_under_a_minor_fault_budget(small_idx_convnet):
+    # each step's conv1 patch matrix (32 images x 7x7 positions x 72 taps,
+    # 0.9 MB) is over glibc's default dynamic mmap threshold; unpinned, the
+    # step's buffers were mapped or trimmed away every step, about 600 faults
+    _, _, pinned = small_idx_convnet
+    assert pinned["pinned"]
+    assert pinned["per_step"] < 100
+
+
+def test_a_run_without_mallopt_writes_the_same_artifacts(small_idx_convnet, tmp_path):
+    cfg, pinned_dir, _ = small_idx_convnet
+    inert = _malloc_child(cfg, tmp_path / "inert", "inert")
+    assert not inert["pinned"]
+    for name in ("config.resolved", "summary.json", "curves.csv", "predictions.csv", "events.csv"):
+        assert (pinned_dir / name).read_bytes() == (tmp_path / "inert" / name).read_bytes(), name
+
+
 def test_benchmark_tracer_reads_the_model_and_the_harness(tmp_path):
     # perfbench/layertrace.py rebinds harness names and reads model.registry
     # from outside the package; a name it needs that moves breaks here

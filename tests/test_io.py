@@ -39,7 +39,7 @@ from anyprune.errors import (
     ModelSpecError,
     NumericError,
 )
-from anyprune.harness import run
+from anyprune.harness import dataset_for_config, run
 from anyprune.metrics import summarize
 from anyprune.models import ModelSpec, build_model
 from anyprune.optim import OptimState, sgd_momentum_step
@@ -289,8 +289,11 @@ class TestIdx:
         x, y, shape = load_idx(images, labels)
         assert shape == (1, 2, 2)
         assert x.shape == (2, 4)
-        assert x[0, 3] == 1.0  # byte 255 scales to exactly 1.0
-        np.testing.assert_allclose(x[0], np.array([0, 64, 128, 255]) / 255.0)
+        assert x.dtype == np.uint8  # the file's bytes, unscaled
+        np.testing.assert_array_equal(x[0], [0, 64, 128, 255])
+        scaled = Dataset(x, y, x, y, shape).rows([0])
+        assert scaled[0, 3] == 1.0  # byte 255 scales to exactly 1.0
+        np.testing.assert_allclose(scaled[0], np.array([0, 64, 128, 255]) / 255.0)
         np.testing.assert_array_equal(y, [3, 7])
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -350,8 +353,9 @@ class TestIdx:
         x2, y2, shape2 = load_idx(ip, lp)
         assert shape2 == shape
         np.testing.assert_array_equal(y2, y)
-        # loaded pixels are k/255; writing re-rounds to the same bytes
-        write_idx(x2, y2, tmp_path / "c.idx", tmp_path / "d.idx", shape)
+        # fetched pixels are k/255; writing re-rounds to the same bytes
+        scaled = Dataset(x2, y2, x2, y2, shape).rows(slice(None))
+        write_idx(scaled, y2, tmp_path / "c.idx", tmp_path / "d.idx", shape)
         x3, y3, _ = load_idx(tmp_path / "c.idx", tmp_path / "d.idx")
         np.testing.assert_array_equal(x3, x2)
         np.testing.assert_array_equal(y3, y2)
@@ -384,6 +388,47 @@ class TestIdx:
         with pytest.raises(DataError, match=rf"^images of {width} values, but 2x2 images hold 4$"):
             write_idx(np.zeros((1, width)), np.array([1]), ip, lp, (1, 2, 2))
         assert not ip.exists() and not lp.exists()
+
+
+class TestIdxPixels:
+    """IDX pixels stay uint8 in the dataset; every fetch scales them as loading once did."""
+
+    def _dataset(self, tmp_path):
+        # every byte value, shuffled, in both splits of sixteen 4x4 images
+        g = np.random.default_rng(0)
+        for part in ("train", "test"):
+            pixels = g.permutation(256).astype(np.uint8).tobytes()
+            (tmp_path / f"{part}-i").write_bytes(struct.pack(">iiii", 0x00000803, 16, 4, 4) + pixels)
+            (tmp_path / f"{part}-l").write_bytes(struct.pack(">ii", 0x00000801, 16) + bytes(range(16)))
+        return dataset_for_config(parse_config(
+            "variant = baseline\nmegabatches = 2\ndataset = idx\nmodel = convnet\n"
+            + "".join(f"idx_{p}_{k} = {tmp_path / f'{p}-{k[0]}'}\n"
+                      for p in ("train", "test") for k in ("images", "labels"))
+        ))
+
+    def test_pixels_stay_uint8_and_fetched_rows_keep_the_bits_of_scaling_at_load(self, tmp_path):
+        ds = self._dataset(tmp_path)
+        assert ds.x.dtype == ds.x_test.dtype == np.uint8
+        idx = np.random.default_rng(1).integers(0, 16, size=40)  # repeats and any order
+        for x, test in ((ds.x, False), (ds.x_test, True)):
+            assert set(x.ravel().tolist()) == set(range(256))
+            at_load = x.astype(np.float64) / 255.0
+            for rows in (idx, slice(None)):
+                got = ds.rows(rows, test=test)
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got.view(np.uint64), at_load[rows].view(np.uint64))
+
+    def test_float_features_are_fetched_as_they_are(self):
+        ds = gen_blobs(3, 10, 4, 0.5, seed=0, test_per_class=2)
+        np.testing.assert_array_equal(ds.rows([4, 0, 4]), ds.x[[4, 0, 4]])
+        assert ds.rows(slice(None), test=True).base is ds.x_test  # no copy
+
+    def test_unscaled_pixels_cannot_reach_the_model(self, tmp_path):
+        ds = self._dataset(tmp_path)
+        model = build_model(ModelSpec(ds.input_shape, ds.class_count, conv_stack=((2, 3, 1, 1),)), 0)
+        with pytest.raises(DataError, match="^model input is uint8;"):
+            model.predict(ds.x)
+        assert model.predict(ds.rows(slice(None))).shape == (16,)
 
 
 class TestSynthetic:
