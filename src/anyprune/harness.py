@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .config import config_hash, run_id
 from .datasets import Dataset, gen_blobs, load_csv, load_idx, split_test
 from .errors import AnypruneError, DataError, FormatError, NumericError
-from .kernels import blas_threads, pin_malloc_thresholds
 from .metrics import error_count, generalization_gap
 from .models import ModelSpec, build_model
 from .optim import OptimState, sgd_momentum_step
@@ -40,8 +40,8 @@ from .stream import build_stream, draw_pi, replay_view
 
 logger = logging.getLogger(__name__)
 
-# an MLP step under this many multiply-adds trains on one OpenBLAS thread: a second
-# thread slows its elementwise numpy work more than it speeds up its small products
+# a step under this many multiply-adds (minibatch x ModelSpec.macs) trains on one OpenBLAS
+# thread: a second slows its elementwise numpy work more than it speeds up its small products
 SMALL_STEP_MACS = 2**22
 
 
@@ -96,6 +96,7 @@ class MetricsLog:
     prunable_total: int
     layer_names: list
     test_labels: np.ndarray
+    blas_threads: int | None = None  # the OpenBLAS count it trained at; None if not settable
     epochs: list = field(default_factory=list)
     megabatches: list = field(default_factory=list)
     events: list = field(default_factory=list)
@@ -275,16 +276,14 @@ def run(config, observer=None):
     pins the process's malloc thresholds (``kernels.pin_malloc_thresholds``).
     """
     started = time.perf_counter()
-    pin_malloc_thresholds()
+    kernels.pin_malloc_thresholds()
     dataset = dataset_for_config(config)
     stream = build_stream(
         dataset, config.megabatches, config.val_fraction,
         config.per_class_cap, config.seed_partition,
     )
     spec = model_spec_for_config(config, dataset)
-    sizes = spec.dense_sizes()
-    step_macs = config.minibatch * sum(a * b for a, b in zip(sizes, sizes[1:]))
-    with blas_threads(1 if not spec.conv_stack and step_macs < SMALL_STEP_MACS else None):
+    with kernels.blas_threads(1 if config.minibatch * spec.macs() < SMALL_STEP_MACS else None):
         model = build_model(spec, config.seed_init)
         mask = SparsityMask.full(model)
         # deltas: the exponents of the megabatches that prune, in stream order;
@@ -357,6 +356,10 @@ def run(config, observer=None):
                 getattr(observer, "on_megabatch_end", _no_hook)(t, model, mask)
             except AnypruneError as exc:
                 raise type(exc)(f"megabatch {t}, {phase}: {exc}") from exc
+        # read after training: the same OpenBLAS call made as the block opened, before the
+        # run's first product, raised prune_wide's peak by about 1.3 MiB
+        blas = kernels._openblas()
+        log.blas_threads = None if blas is None else blas[1]()
 
     log.wall_clock_seconds = time.perf_counter() - started
     return log

@@ -47,9 +47,9 @@ class ModelSpec:
             )
         self.flat_dim()  # raises if any stage collapses below 2x2
 
-    def flat_dim(self):
-        """Flattened feature count after the conv/pool stack."""
-        shape = self.input_shape
+    def _walk_conv_stack(self):
+        """(features left after the conv/pool stack, the stack's multiply-adds per sample)."""
+        shape, macs = self.input_shape, 0
         for i, (cout, k, stride, pad) in enumerate(self.conv_stack):
             ph, pw = shape[1] + 2 * pad, shape[2] + 2 * pad
             if k > min(ph, pw):
@@ -57,12 +57,22 @@ class ModelSpec:
             h, w = conv2d_output_hw(shape[1], shape[2], k, k, stride, pad)
             if h < 2 or w < 2:
                 raise ModelSpecError(f"feature map collapsed to {h}x{w} before pooling")
+            macs += h * w * cout * shape[0] * k * k
             shape = (cout, h // 2, w // 2)
-        return int(np.prod(shape))
+        return int(np.prod(shape)), macs
+
+    def flat_dim(self):
+        """Flattened feature count after the conv/pool stack."""
+        return self._walk_conv_stack()[0]
 
     def dense_sizes(self):
         """Dense layer widths from the dense input through the class count."""
         return (self.flat_dim(), *self.hidden, self.class_count)
+
+    def macs(self):
+        """Multiply-adds of one sample's forward: Ho·Wo·Cout·Cin·k² a conv, a·b a dense layer."""
+        sizes = self.dense_sizes()
+        return self._walk_conv_stack()[1] + sum(a * b for a, b in zip(sizes, sizes[1:]))
 
 
 class RegistryEntry(NamedTuple):

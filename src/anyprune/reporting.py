@@ -165,6 +165,7 @@ def _write_artifacts(log, outdir):
         "variant": log.config.variant,
         "pruner": pruner_label(log.config),
         "wall_clock_seconds": log.wall_clock_seconds,
+        "blas_threads": log.blas_threads,
         "version": __version__,
     }
     _write_text(os.path.join(outdir, "meta.json"), json.dumps(meta, indent=2) + "\n")

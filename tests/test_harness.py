@@ -20,8 +20,8 @@ from anyprune.errors import NumericError
 from anyprune.harness import run, train_megabatch
 from anyprune.models import ModelSpec, build_model
 from anyprune.optim import OptimState
-from anyprune.pruning import SparsityMask, keep_count, make_delta_schedule
-from anyprune.rng import round_half_up
+from anyprune.pruning import SparsityMask, apply_mask, keep_count, make_delta_schedule
+from anyprune.rng import STREAM_SHUFFLE, rng_from, round_half_up
 from anyprune.stream import Megabatch, build_stream, replay_view
 
 
@@ -483,6 +483,82 @@ class TestDegenerateEquivalence:
         np.testing.assert_array_equal(a.megabatches[0].predictions, b.megabatches[0].predictions)
 
 
+class _Recorder:
+    """Copies of the weights and momentum after every step, and the state at each prune."""
+
+    def __init__(self, config):
+        self.config, self.dataset = config, harness.dataset_for_config(config)
+        self.stream = build_stream(
+            self.dataset, config.megabatches, config.val_fraction,
+            config.per_class_cap, config.seed_partition,
+        )
+        self.start, self.first, self.pruned, self.after_prune, self.val = {}, {}, {}, {}, {}
+        self.last = (None, None)  # (weights, momentum) after the latest step
+
+    def on_megabatch_start(self, t, model, mask):
+        self.start[t] = model.snapshot()
+
+    def on_step(self, t, epoch, model, optim, mask):
+        velocity = {name: v.copy() for name, v in optim.velocity.items()}
+        self.first.setdefault(t, velocity)
+        if t in self.pruned:
+            self.after_prune.setdefault(t, (epoch, velocity))
+        self.last = (model.snapshot(), velocity)
+
+    def on_prune(self, t, old_mask, new_mask):
+        self.pruned[t] = (*self.last, new_mask)
+
+    def on_megabatch_end(self, t, model, mask):
+        val_idx = replay_view(self.stream, t, self.config.replay).val_idx
+        self.val[t] = harness.evaluate(model, self.dataset.rows(val_idx), self.dataset.y[val_idx])
+
+    def first_grads(self, t, epoch, params, mask=None):
+        """Gradients of the first step of ``epoch`` in megabatch ``t``, from ``params``."""
+        train_idx = replay_view(self.stream, t, self.config.replay).train_idx
+        shuffle = rng_from(STREAM_SHUFFLE, self.config.seed_shuffle, t, epoch)
+        batch = shuffle.permutation(train_idx)[: self.config.minibatch]
+        model = build_model(harness.model_spec_for_config(self.config, self.dataset), 0)
+        model.restore({name: a.copy() for name, a in params.items()})
+        if mask is not None:
+            apply_mask(model, mask)
+        return model.loss_and_grads(self.dataset.rows(batch), self.dataset.y[batch])[1]
+
+
+class TestComposition:
+    # momentum 0.9 and no weight decay: a step makes v = 0.9·v + g
+
+    def test_each_megabatchs_first_step_starts_from_zero_momentum(self):
+        config = _cfg(variant="baseline")
+        rec = _Recorder(config)
+        run(config, rec)
+        for t in range(2, config.megabatches + 1):
+            for name, g in rec.first_grads(t, 1, rec.start[t]).items():
+                np.testing.assert_array_equal(rec.first[t][name], g, err_msg=f"{t} {name}")
+
+    def test_validation_scores_the_views_val_rows(self):
+        config = _cfg()
+        rec = _Recorder(config)
+        log = run(config, rec)
+        epochs = {(e.megabatch, e.epoch): e for e in log.epochs}
+        for mb in log.megabatches:  # the model ends each megabatch at its best epoch
+            e = epochs[mb.megabatch, mb.best_epoch]
+            assert (e.val_correct, e.val_total, e.val_loss) == rec.val[mb.megabatch]
+
+    def test_a_warmup_prune_zeroes_pruned_momentum_and_keeps_the_rest(self):
+        config = _cfg(variant="app_warmup", epochs=3, warmup_epochs=1)
+        rec = _Recorder(config)
+        run(config, rec)
+        assert set(rec.after_prune) == {1, 2, 3}
+        for t, (epoch, velocity) in rec.after_prune.items():
+            params, before, mask = rec.pruned[t]
+            assert epoch == 2
+            for name, g in rec.first_grads(t, epoch, params, mask).items():
+                expected = before[name] * 0.9 + g
+                if name in mask.arrays:
+                    expected[~mask.arrays[name]] = 0.0
+                np.testing.assert_array_equal(velocity[name], expected, err_msg=f"{t} {name}")
+
+
 def _blas_count():
     return kernels._openblas()[1]()
 
@@ -515,22 +591,31 @@ class TestBlasThreadRule:
             assert _blas_count() == 2
         assert observer.counts == {threads}
 
-    def test_a_convnet_keeps_the_inherited_count(self, tmp_path):
+    @pytest.mark.parametrize("side, keys, threads", [
+        # 16 x (8·8·2·1·9 + 32·10) multiply-adds a step
+        (8, "conv_channels = 2\nminibatch = 16\n", 1),
+        # 128 x (14·14·32·1·9 + 7·7·64·32·9 + 576·10), about 123.6 M, over the constant
+        (14, "conv_channels = 32,64\nminibatch = 128\n", 2),
+    ], ids=["small", "wide"])
+    def test_a_convnet_trains_on_one_thread_only_under_the_constant(
+        self, tmp_path, side, keys, threads
+    ):
         from anyprune.datasets import gen_digits, write_idx
 
-        x, y, shape = gen_digits(per_class=10, seed=3, side=8)
+        x, y, shape = gen_digits(per_class=10, seed=3, side=side)
         write_idx(x, y, tmp_path / "ti", tmp_path / "tl", shape)
         write_idx(x, y, tmp_path / "si", tmp_path / "sl", shape)
         cfg = parse_config(
             "variant = baseline\nmegabatches = 1\nepochs = 1\ndataset = idx\n"
             f"idx_train_images = {tmp_path / 'ti'}\nidx_train_labels = {tmp_path / 'tl'}\n"
             f"idx_test_images = {tmp_path / 'si'}\nidx_test_labels = {tmp_path / 'sl'}\n"
-            "model = convnet\nconv_channels = 2\nminibatch = 16\n"
+            "model = convnet\n" + keys
         )
         observer = _StepThreads()
         with kernels.blas_threads(2):
-            run(cfg, observer)
-        assert observer.counts == {2}
+            log = run(cfg, observer)
+        assert observer.counts == {threads}
+        assert log.blas_threads == threads
 
     def test_the_count_is_restored_after_a_diverging_run(self):
         text = (pathlib.Path(__file__).parents[1] / "configs" / "baseline_blobs.cfg").read_text()

@@ -680,6 +680,15 @@ class TestReporting:
         assert meta["config_hash"] == log.config_hash
         assert meta["variant"] == "app_default"
 
+    def test_meta_records_the_blas_thread_count(self, small_run_dir, tmp_path, monkeypatch):
+        outdir, _ = small_run_dir
+        # SMALL_RUN's step is under harness.SMALL_STEP_MACS, so it trains on one thread
+        expected = None if kernels._openblas() is None else 1
+        assert json.loads((outdir / "meta.json").read_text())["blas_threads"] == expected
+        monkeypatch.setattr(kernels, "_openblas", lambda: None)
+        write_run_dir(run(parse_config(SMALL_RUN)), tmp_path / "inert")
+        assert json.loads((tmp_path / "inert" / "meta.json").read_text())["blas_threads"] is None
+
 
 def _wait_for(path):
     """Poll, for up to 60 s, until ``path`` exists: how two job processes take turns."""
@@ -964,18 +973,29 @@ class TestCli:
         assert not out.exists()
         assert "megabatch 1, prune: non-finite gradients in hvp_fd" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("minibatch, hidden", [
+    @pytest.mark.parametrize("minibatch, model", [
         # wide: matmuls large enough that OpenBLAS splits them when given two threads
-        (128, "512,256"),
+        (128, "model = mlp\nmlp_hidden = 512,256\n"),
         # desk: a step under harness.SMALL_STEP_MACS, so the run sets one thread itself
-        (32, "256,128"),
-    ], ids=["wide", "desk"])
-    def test_artifacts_identical_at_one_and_two_blas_threads(self, tmp_path, minibatch, hidden):
+        (32, "model = mlp\nmlp_hidden = 256,128\n"),
+        # conv: the conv_digits benchmark's convnet, 32 x 72,000 multiply-adds a step, also under
+        # the constant. Left at two threads, conv1's gw on a ragged 18-image minibatch changes bits
+        (32, "model = convnet\nconv_channels = 8,16\n"),
+    ], ids=["wide", "desk", "conv"])
+    def test_artifacts_identical_at_one_and_two_blas_threads(self, tmp_path, minibatch, model):
+        data = "dataset = synthetic_blobs\nblob_dim = 64\n"
+        if "convnet" in model:  # on 14x14 digits, as the benchmark's
+            for part, seed, per_class in (("train", 1, 70), ("test", 2, 40)):
+                x, y, shape = gen_digits(per_class=per_class, seed=seed, side=14)
+                write_idx(x, y, tmp_path / f"{part}-images", tmp_path / f"{part}-labels", shape)
+            data = "dataset = idx\n" + "".join(
+                f"idx_{part}_{kind} = {tmp_path / f'{part}-{kind}'}\n"
+                for part in ("train", "test") for kind in ("images", "labels")
+            )
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "variant = app_default\npruner = snip\ntau = 4.5\nmegabatches = 3\n"
-            f"epochs = 2\nminibatch = {minibatch}\nmodel = mlp\nmlp_hidden = {hidden}\n"
-            "dataset = synthetic_blobs\nblob_dim = 64\n"
+            f"epochs = 2\nminibatch = {minibatch}\n{model}{data}"
         )
         # the child imports the same anyprune as this process, from a checkout
         # or an install: the package's directory goes first on PYTHONPATH

@@ -168,6 +168,18 @@ def test_convnet_kernel_larger_than_its_padded_map_names_the_layer():
         ModelSpec((1, 6, 6), 3, conv_stack=((4, 3, 1, 1), (4, 5, 1, 0)))
 
 
+@pytest.mark.parametrize("spec, macs", [
+    # the conv_digits benchmark's convnet, counted by hand: conv0 14·14·8·1·9, conv1 on the
+    # pooled 7x7 map 7·7·16·8·9, and fc0 on the 3x3x16 pooled features 144·10
+    (ModelSpec((1, 14, 14), 10, conv_stack=((8, 3, 1, 1), (16, 3, 1, 1))), 72_000),
+    # stride 2, no padding, three input channels: 4·4·4·3·9, then fc0 16·5 and fc1 5·3
+    (ModelSpec((3, 9, 9), 3, hidden=(5,), conv_stack=((4, 3, 2, 0),)), 1823),
+    (ModelSpec((196,), 10, hidden=(256, 128)), 196 * 256 + 256 * 128 + 128 * 10),
+], ids=["conv_digits", "strided", "mlp"])
+def test_macs_counts_one_samples_multiply_adds(spec, macs):
+    assert spec.macs() == macs
+
+
 def test_predict_tie_breaks_to_smaller_class():
     model = build_model(ModelSpec((2,), 3), seed=0)
     model.params["fc0_w"].data[:] = 0.0
